@@ -45,10 +45,17 @@ class InProcLink final : public ClientLink {
  public:
   using Queue = util::BlockingQueue<Message>;
 
-  InProcLink(std::shared_ptr<Queue> outgoing, std::shared_ptr<Queue> incoming)
-      : outgoing_(std::move(outgoing)), incoming_(std::move(incoming)) {}
+  InProcLink(std::shared_ptr<Queue> outgoing, std::shared_ptr<Queue> incoming,
+             std::function<void()> on_send)
+      : outgoing_(std::move(outgoing)),
+        incoming_(std::move(incoming)),
+        on_send_(std::move(on_send)) {}
 
-  void send(Message msg) override { outgoing_->push(std::move(msg)); }
+  void send(Message msg) override {
+    if (outgoing_->push(std::move(msg)) && on_send_) {
+      on_send_();
+    }
+  }
 
   std::optional<Message> recv(std::chrono::milliseconds timeout) override {
     return incoming_->pop_for(timeout);
@@ -64,15 +71,17 @@ class InProcLink final : public ClientLink {
  private:
   std::shared_ptr<Queue> outgoing_;
   std::shared_ptr<Queue> incoming_;
+  std::function<void()> on_send_;
 };
 
 }  // namespace
 
-std::pair<std::shared_ptr<ClientLink>, std::shared_ptr<ClientLink>> make_inproc_link_pair() {
+std::pair<std::shared_ptr<ClientLink>, std::shared_ptr<ClientLink>> make_inproc_link_pair(
+    std::function<void()> on_send) {
   auto a_to_b = std::make_shared<InProcLink::Queue>();
   auto b_to_a = std::make_shared<InProcLink::Queue>();
-  return {std::make_shared<InProcLink>(a_to_b, b_to_a),
-          std::make_shared<InProcLink>(b_to_a, a_to_b)};
+  return {std::make_shared<InProcLink>(a_to_b, b_to_a, std::move(on_send)),
+          std::make_shared<InProcLink>(b_to_a, a_to_b, nullptr)};
 }
 
 // ---------------------------------------------------------------------------

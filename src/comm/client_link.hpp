@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,7 +71,10 @@ class ClientLink {
 };
 
 /// Creates a connected pair of in-process links (A→B and B→A share queues).
-std::pair<std::shared_ptr<ClientLink>, std::shared_ptr<ClientLink>> make_inproc_link_pair();
+/// `on_send` runs after each message A sends: B's reader can be woken the
+/// way the event loop's readability callback wakes a TCP link's reader.
+std::pair<std::shared_ptr<ClientLink>, std::shared_ptr<ClientLink>> make_inproc_link_pair(
+    std::function<void()> on_send = {});
 
 /// Connects to a server's TCP frontend (net::EventLoop); throws
 /// std::runtime_error on failure. The link skips the hello.

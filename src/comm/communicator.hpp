@@ -17,14 +17,17 @@
 /// down — the worker loop uses that as its orderly exit path.
 ///
 /// Thread-safety: send() is always safe; recv/try_recv/probe may be called
-/// from multiple threads of the same rank concurrently (the unexpected-
-/// message queue is locked) — each message is delivered to exactly one
-/// matching receiver. Waiting receivers poll in bounded slices, so a
-/// message buffered by one thread is picked up by its addressee within one
-/// slice.
+/// from multiple threads of the same rank concurrently — each message is
+/// delivered to exactly one matching receiver. One waiting thread at a time
+/// blocks on the transport; it moves whatever arrives into the
+/// unexpected-message queue and wakes the other waiters, so a message
+/// pulled in by a sibling thread reaches its addressee at once. All waits
+/// go through the Clock seam (util::ClockCondition and the transport).
 
 #include <chrono>
+#include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <mutex>
 #include <memory>
 #include <optional>
@@ -33,6 +36,7 @@
 
 #include "comm/message.hpp"
 #include "comm/transport.hpp"
+#include "util/clock.hpp"
 
 namespace vira::comm {
 
@@ -59,6 +63,9 @@ class Communicator {
 
   /// Non-blocking variant with timeout; nullopt on timeout.
   std::optional<Message> try_recv(int source, int tag, std::chrono::milliseconds timeout);
+  /// The first message from `source` carrying any of `tags`.
+  std::optional<Message> try_recv(int source, std::initializer_list<int> tags,
+                                  std::chrono::milliseconds timeout);
 
   /// Returns (source, tag) of the first buffered or immediately available
   /// message without consuming it.
@@ -76,15 +83,20 @@ class Communicator {
   double reduce_sum(double value, int root);
 
  private:
-  Message recv_matching(int source, int tag);
-  std::optional<Message> take_buffered(int source, int tag);
-  void pump(std::chrono::milliseconds timeout);
+  /// Waits for a matching message until `deadline`; `consume` false peeks.
+  std::optional<Message> receive(int source, std::initializer_list<int> tags,
+                                 util::Clock::TimePoint deadline, bool consume);
+  /// Drains the transport, waiting for a first message until `deadline`.
+  std::vector<Message> pump(util::Clock::TimePoint deadline);
   void send_internal(int dest, int tag, util::ByteBuffer payload);
 
   std::shared_ptr<Transport> transport_;
   int rank_;
-  std::mutex pending_mutex_;
-  std::deque<Message> pending_;  // unexpected-message queue
+  std::mutex mutex_;
+  std::deque<Message> pending_;  ///< unexpected-message queue
+  bool pumping_ = false;         ///< a receiver is waiting on the transport
+  std::uint64_t handovers_ = 0;  ///< pumps finished; wakes mail_cv_ waiters
+  util::ClockCondition mail_cv_;
 };
 
 /// Reserved (negative) tags used by the collectives.

@@ -15,10 +15,9 @@
 namespace vira::dms {
 
 namespace {
-/// Pacing slice for the clock-routed waits below (in-flight-load dedup,
-/// prefetch pickup, quiesce). Under a virtual clock each slice is one
-/// deterministic scheduling step; in real time it is a short poll.
-constexpr auto kWaitSlice = std::chrono::milliseconds(2);
+/// How often the peer-service thread re-checks its stop flag. Messages end
+/// its wait at once; this only bounds how long teardown waits for it.
+constexpr auto kPeerServiceStopCheck = std::chrono::milliseconds(20);
 }  // namespace
 
 DataProxy::DataProxy(DataProxyConfig config, std::shared_ptr<ServerApi> server,
@@ -210,15 +209,22 @@ util::Future<Blob> DataProxy::request_async(const DataItemName& name, util::Task
 
 Blob DataProxy::load_item(ItemId id, const DataItemName& name, bool from_prefetch) {
   // If someone else is loading this item, wait for them and use the cache.
+  // The wait ends when their load lands, so a demand request that finds a
+  // prefetch in flight pays only the rest of that load.
   {
     std::unique_lock<std::mutex> lock(loading_mutex_);
-    while (loading_.count(id) > 0) {
-      lock.unlock();
-      util::clock_sleep(kWaitSlice);
-      lock.lock();
+    if (loading_.count(id) > 0) {
+      util::WallTimer waited;
+      loading_cv_.wait(lock, [&] { return loading_.count(id) == 0; });
+      if (!from_prefetch) {
+        stats_->record_inflight_wait(waited.seconds());
+      }
     }
     if (Blob blob = cache_->peek(id)) {
       if (fresh(id)) {
+        if (!from_prefetch) {
+          cache_->note_requested(id);  // a demand served by someone else's load
+        }
         return blob;
       }
       evict_stale(id);
@@ -226,19 +232,21 @@ Blob DataProxy::load_item(ItemId id, const DataItemName& name, bool from_prefetc
     loading_.insert(id);
   }
 
+  const auto loaded = [&] {
+    {
+      std::lock_guard<std::mutex> lock(loading_mutex_);
+      loading_.erase(id);
+    }
+    loading_cv_.notify_all();
+  };
   Blob blob;
   try {
     blob = execute_load(id, name, from_prefetch);
   } catch (...) {
-    std::lock_guard<std::mutex> lock(loading_mutex_);
-    loading_.erase(id);
+    loaded();
     throw;
   }
-
-  {
-    std::lock_guard<std::mutex> lock(loading_mutex_);
-    loading_.erase(id);
-  }
+  loaded();
   return blob;
 }
 
@@ -424,14 +432,25 @@ Blob DataProxy::fetch_from_peer(int owner, ItemId id, std::uint64_t min_version,
                                 bool& timed_out, std::uint64_t& version_out) {
   timed_out = false;
   version_out = 0;
-  // One outstanding fetch per proxy. Acquired cooperatively (try + clock
-  // slice) because the holder parks in clock-routed waits below: a blocking
-  // lock here would stall a virtual-time machine in real time.
-  std::unique_lock<std::mutex> lock(peer_fetch_mutex_, std::try_to_lock);
-  while (!lock.owns_lock()) {
-    util::clock_sleep(kWaitSlice);
-    (void)lock.try_lock();
+  // One outstanding fetch per proxy: replies are matched by seq, and a
+  // second fetching thread would take (and drop) the first one's reply.
+  // A flag, not a mutex held across the wait below: the holder parks in
+  // clock-routed waits, and a blocked lock would stall a virtual-time run.
+  {
+    std::unique_lock<std::mutex> lock(peer_fetch_mutex_);
+    peer_fetch_cv_.wait(lock, [this] { return !peer_fetch_busy_; });
+    peer_fetch_busy_ = true;
   }
+  struct Release {
+    DataProxy& proxy;
+    ~Release() {
+      {
+        std::lock_guard<std::mutex> lock(proxy.peer_fetch_mutex_);
+        proxy.peer_fetch_busy_ = false;
+      }
+      proxy.peer_fetch_cv_.notify_one();
+    }
+  } release{*this};
   PeerFetchRequest req;
   req.id = id;
   req.seq = peer_seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -441,16 +460,15 @@ Blob DataProxy::fetch_from_peer(int owner, ItemId id, std::uint64_t min_version,
   req.serialize(payload);
   peer_comm_->send(owner + 1, comm::kTagPeerFetch, std::move(payload));
 
-  std::chrono::milliseconds waited{0};
+  const auto deadline = util::clock_now() + peer_fetch_timeout_;
   while (true) {
-    auto msg = peer_comm_->try_recv(comm::kAnySource, comm::kTagPeerBlock, kWaitSlice);
+    const auto left = deadline - util::clock_now();
+    auto msg = peer_comm_->try_recv(
+        comm::kAnySource, comm::kTagPeerBlock,
+        std::max(std::chrono::ceil<std::chrono::milliseconds>(left), std::chrono::milliseconds(0)));
     if (!msg) {
-      waited += kWaitSlice;
-      if (waited >= peer_fetch_timeout_) {
-        timed_out = true;
-        return nullptr;
-      }
-      continue;
+      timed_out = true;
+      return nullptr;
     }
     auto reply = PeerBlockReply::deserialize(msg->payload);
     if (reply.seq != req.seq) {
@@ -486,12 +504,14 @@ void DataProxy::push_to_owners(ItemId id, const Blob& blob, const std::vector<in
 void DataProxy::peer_service_loop() {
   while (!peer_stop_.load(std::memory_order_acquire)) {
     try {
-      if (auto msg = peer_comm_->try_recv(comm::kAnySource, comm::kTagPeerFetch, kWaitSlice)) {
-        serve_peer_fetch(*msg);
+      auto msg = peer_comm_->try_recv(comm::kAnySource, {comm::kTagPeerFetch, comm::kTagPeerPush},
+                                      kPeerServiceStopCheck);
+      if (!msg) {
         continue;
       }
-      if (auto msg = peer_comm_->try_recv(comm::kAnySource, comm::kTagPeerPush,
-                                          std::chrono::milliseconds(0))) {
+      if (msg->tag == comm::kTagPeerFetch) {
+        serve_peer_fetch(*msg);
+      } else {
         apply_peer_push(*msg);
       }
     } catch (const comm::TransportClosed&) {
@@ -556,19 +576,7 @@ void DataProxy::run_prefetch_suggestions() {
     if (cache_->contains_l1(id)) {
       continue;  // already resident
     }
-    stats_->record_prefetch_issued();
-    if (config_.async_prefetch) {
-      {
-        std::lock_guard<std::mutex> lock(idle_mutex_);
-        ++prefetch_inflight_;
-      }
-      if (!prefetch_queue_.push(id)) {
-        std::lock_guard<std::mutex> lock(idle_mutex_);
-        --prefetch_inflight_;
-      }
-    } else {
-      prefetch_one(id);
-    }
+    issue_prefetch(id);
   }
 }
 
@@ -577,43 +585,44 @@ void DataProxy::code_prefetch(const DataItemName& name) {
   if (cache_->contains_l1(id)) {
     return;
   }
+  issue_prefetch(id);
+}
+
+void DataProxy::issue_prefetch(ItemId id) {
   stats_->record_prefetch_issued();
-  if (config_.async_prefetch) {
-    {
-      std::lock_guard<std::mutex> lock(idle_mutex_);
-      ++prefetch_inflight_;
-    }
-    if (!prefetch_queue_.push(id)) {
-      std::lock_guard<std::mutex> lock(idle_mutex_);
-      --prefetch_inflight_;
-    }
-  } else {
+  if (!config_.async_prefetch) {
     prefetch_one(id);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    ++prefetch_inflight_;
+  }
+  if (!prefetch_queue_.push(id)) {
+    prefetch_settled();
   }
 }
 
-void DataProxy::prefetch_worker() {
-  while (true) {
-    // Clock-paced pickup instead of a blocking pop: queued suggestions are
-    // drained immediately, the idle thread sleeps through the injectable
-    // clock (so virtual-time runs schedule it deterministically).
-    auto id = prefetch_queue_.try_pop();
-    if (!id) {
-      if (prefetch_queue_.closed()) {
-        break;
-      }
-      util::clock_sleep(kWaitSlice);
-      continue;
+void DataProxy::prefetch_settled() {
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    if (--prefetch_inflight_ > 0) {
+      return;
     }
+  }
+  idle_cv_.notify_all();
+}
+
+void DataProxy::prefetch_worker() {
+  // The pop wakes on the push, so a suggestion starts loading while the
+  // request that made it is still being computed on.
+  while (auto id = prefetch_queue_.pop()) {
     try {
       prefetch_one(*id);
     } catch (const std::exception& e) {
       VIRA_WARN("dms") << "prefetch of item " << *id << " failed: " << e.what();
     }
-    {
-      std::lock_guard<std::mutex> lock(idle_mutex_);
-      --prefetch_inflight_;
-    }
+    prefetch_settled();
   }
 }
 
@@ -635,11 +644,7 @@ void DataProxy::prefetch_one(ItemId id) {
 
 void DataProxy::quiesce() {
   std::unique_lock<std::mutex> lock(idle_mutex_);
-  while (prefetch_inflight_ > 0) {
-    lock.unlock();
-    util::clock_sleep(kWaitSlice);
-    lock.lock();
-  }
+  idle_cv_.wait(lock, [this] { return prefetch_inflight_ == 0; });
 }
 
 void DataProxy::clear_cache() {

@@ -42,6 +42,7 @@
 #include "dms/statistics.hpp"
 #include "dms/two_tier_cache.hpp"
 #include "util/blocking_queue.hpp"
+#include "util/clock.hpp"
 #include "util/task_pool.hpp"
 
 namespace vira::dms {
@@ -148,6 +149,10 @@ class DataProxy {
   void evict_stale(ItemId id);
   void raise_data_version(std::uint64_t version);
   void run_prefetch_suggestions();
+  /// Queues (async) or runs one prefetch, counting it as issued.
+  void issue_prefetch(ItemId id);
+  /// One queued prefetch finished; wakes quiesce() at zero.
+  void prefetch_settled();
   void prefetch_worker();
   void prefetch_one(ItemId id);
 
@@ -162,16 +167,19 @@ class DataProxy {
   std::mutex prefetcher_mutex_;
   std::unique_ptr<Prefetcher> prefetcher_;
 
-  /// In-flight load deduplication. Waiters poll in clock-paced slices
-  /// (util::clock_sleep) instead of a condition variable so virtual-time
-  /// runs stay deterministic; see DESIGN.md "Testing strategy".
+  /// In-flight load deduplication. A request for an item that is loading
+  /// waits on loading_cv_, which the load notifies when it lands; the wait
+  /// goes through the Clock seam, so virtual-time runs stay deterministic
+  /// (DESIGN.md "Testing strategy").
   std::mutex loading_mutex_;
+  util::ClockCondition loading_cv_;
   std::unordered_set<ItemId> loading_;
 
   /// Background prefetch machinery.
   util::BlockingQueue<ItemId> prefetch_queue_;
   std::thread prefetch_thread_;
   std::mutex idle_mutex_;
+  util::ClockCondition idle_cv_;  ///< prefetch_inflight_ reached 0
   int prefetch_inflight_ = 0;
 
   /// Sharded-DMS state (null/empty in legacy mode; see configure_sharding).
@@ -180,11 +188,13 @@ class DataProxy {
   std::chrono::milliseconds peer_fetch_timeout_{50};
   std::thread peer_thread_;
   std::atomic<bool> peer_stop_{false};
-  /// Fetch sequence numbers: one outstanding fetch per proxy (guarded by
-  /// peer_fetch_mutex_), replies matched by seq so late or duplicated
-  /// kTagPeerBlock messages from earlier fetches are discarded, never
-  /// mistaken for the current answer.
+  /// Fetch sequence numbers: one outstanding fetch per proxy (the thread
+  /// that set peer_fetch_busy_), replies matched by seq so late or
+  /// duplicated kTagPeerBlock messages from earlier fetches are discarded,
+  /// never mistaken for the current answer.
   std::mutex peer_fetch_mutex_;
+  util::ClockCondition peer_fetch_cv_;
+  bool peer_fetch_busy_ = false;
   std::atomic<std::uint64_t> peer_seq_{0};
   /// Version floor (mirrors NameService::data_version) and per-item stamps
   /// assigned at insert time. A stamp below the floor marks the entry

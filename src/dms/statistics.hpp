@@ -30,6 +30,9 @@ struct DmsCounters {
   /// pending-prefetch bookkeeping bounded — before this counter existed,
   /// entries for evicted-unrequested items leaked forever.
   std::uint64_t prefetch_wasted = 0;
+  /// Missed requests that found their item already loading (typically an
+  /// async prefetch) and waited for that load instead of starting one.
+  std::uint64_t inflight_waits = 0;
   std::uint64_t evictions_l1 = 0;
   std::uint64_t evictions_l2 = 0;
   /// Demotions re-triggered by an L2 promote: the promoted blob's re-insert
@@ -98,6 +101,10 @@ class DmsStatistics {
   void record_prefetch_issued() { bump(&DmsCounters::prefetch_issued, obs_.prefetch_issued); }
   void record_prefetch_useful() { bump(&DmsCounters::prefetch_useful, obs_.prefetch_useful); }
   void record_prefetch_wasted() { bump(&DmsCounters::prefetch_wasted, obs_.prefetch_wasted); }
+  void record_inflight_wait(double seconds) {
+    obs_.inflight_wait_seconds.observe(seconds);
+    bump(&DmsCounters::inflight_waits, obs_.inflight_waits);
+  }
   void record_eviction_l1() { bump(&DmsCounters::evictions_l1, obs_.evictions_l1); }
   void record_eviction_l2() { bump(&DmsCounters::evictions_l2, obs_.evictions_l2); }
   void record_l2_respill() { bump(&DmsCounters::l2_respills, obs_.l2_respills); }
@@ -193,6 +200,9 @@ class DmsStatistics {
     obs::Counter& prefetch_issued = obs::Registry::instance().counter("dms.prefetch_issued");
     obs::Counter& prefetch_useful = obs::Registry::instance().counter("dms.prefetch_useful");
     obs::Counter& prefetch_wasted = obs::Registry::instance().counter("dms.prefetch_wasted");
+    obs::Counter& inflight_waits = obs::Registry::instance().counter("dms.inflight_waits");
+    obs::Histogram& inflight_wait_seconds =
+        obs::Registry::instance().histogram("dms.inflight_wait_seconds");
     obs::Counter& evictions_l1 = obs::Registry::instance().counter("dms.evictions_l1");
     obs::Counter& evictions_l2 = obs::Registry::instance().counter("dms.evictions_l2");
     obs::Counter& l2_respills = obs::Registry::instance().counter("dms.l2_respills");

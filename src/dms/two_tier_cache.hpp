@@ -78,10 +78,14 @@ class TwoTierCache {
   /// as prefetch_wasted), so the map cannot outgrow the cache itself.
   std::size_t prefetch_pending_count() const;
 
+  /// A request was served with `id` outside get(): it missed, then joined
+  /// the in-flight load that inserted the item. A prefetched item counts
+  /// as useful, exactly as on a hit.
+  void note_requested(ItemId id);
+
  private:
   std::string l2_path(ItemId id) const;
   void put_internal(ItemId id, Blob blob, bool from_prefetch, bool respill);
-  void note_requested(ItemId id);
   /// The item left the cache hierarchy entirely (evicted with no L2,
   /// dropped demotion, L2 eviction, unreadable spill file). If it was a
   /// still-unrequested prefetch, the speculation is now provably wasted:

@@ -48,6 +48,9 @@ void VirtualClock::schedule_next_locked() {
       have_due = true;
     }
     for (const Participant* p : waiting_) {
+      if (p->deadline == kNever) {
+        continue;  // only a wake ends this park
+      }
       if (!have_due || p->deadline < due) {
         due = p->deadline;
         have_due = true;
@@ -116,6 +119,53 @@ void VirtualClock::sleep_for(std::chrono::nanoseconds duration) {
 void VirtualClock::wait_for_signal_locked(std::unique_lock<std::mutex>& lock,
                                           Nanos deadline_ns) {
   block_self_locked(lock, deadline_ns);
+}
+
+void VirtualClock::wait_until(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+                              TimePoint deadline) {
+  Participant* self = tls_self_;
+  if (self == nullptr) {
+    // Outside the machine: really wait, as long as the deadline is away in
+    // virtual time (a virtual time point means nothing to the OS).
+    Clock::wait_until(cv, lock,
+                      deadline == TimePoint::max()
+                          ? deadline
+                          : std::chrono::steady_clock::now() + (deadline - now()));
+    return;
+  }
+  // Take the machine lock before releasing the caller's: a notifier that
+  // changes the predicate after our check needs the machine lock to wake
+  // us, so it cannot slip in between the check and the park.
+  auto machine = acquire();
+  self->parked_on = &cv;
+  lock.unlock();
+  block_self_locked(machine, deadline == TimePoint::max()
+                                 ? kNever
+                                 : std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                       deadline.time_since_epoch())
+                                       .count());
+  self->parked_on = nullptr;
+  machine.unlock();
+  lock.lock();
+}
+
+void VirtualClock::notify(std::condition_variable& cv, bool all) {
+  {
+    auto machine = acquire();
+    // waiting_ is in park order; wake_locked() erases, so walk a snapshot.
+    const std::vector<Participant*> parked = waiting_;
+    for (Participant* p : parked) {
+      if (p->parked_on == &cv) {
+        wake_locked(p);
+        if (!all) {
+          break;
+        }
+      }
+    }
+    // A notifier outside the machine may find it idle; hand the token on.
+    schedule_next_locked();
+  }
+  Clock::notify(cv, all);
 }
 
 void VirtualClock::wake_locked(Participant* p) {
@@ -210,6 +260,8 @@ void VirtualClock::dump_state(std::ostream& out) {
     out << "  " << name << ": ";
     if (p->finished) {
       out << "finished";
+    } else if (p->waiting && p->deadline == kNever) {
+      out << "parked until woken";
     } else if (p->waiting) {
       out << "parked deadline=" << p->deadline / 1000000 << "ms";
     } else if (std::find(ready_.begin(), ready_.end(), p.get()) != ready_.end()) {

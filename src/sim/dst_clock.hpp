@@ -7,8 +7,9 @@
 /// nondeterministic is the OS scheduler and the wall clock. VirtualClock
 /// removes both: it implements util::Clock with a *token machine* — exactly
 /// one participant thread holds the run token at any instant, every
-/// blocking point in the product (clock_sleep, transport waits) releases
-/// the token, and virtual time advances only when nothing is runnable, by
+/// blocking point in the product (clock_sleep, util::ClockCondition and
+/// transport waits) releases the token, and virtual time advances only
+/// when nothing is runnable, by
 /// jumping to the earliest pending deadline or timer. The schedule is a
 /// pure function of the participants' behavior, so a seeded scenario
 /// replays bit-identically — and months of virtual heartbeat/death-timeout
@@ -36,6 +37,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,7 +65,12 @@ class VirtualClock final : public util::Clock {
     bool finished = false;
     Nanos deadline = 0;
     std::uint64_t wait_seq = 0;  ///< tie-break for equal deadlines (FIFO)
+    /// The condition a wait_until() parks on (nullptr for other parks).
+    const std::condition_variable* parked_on = nullptr;
   };
+
+  /// Deadline of a park that only a wake ends; never advances time.
+  static constexpr Nanos kNever = std::numeric_limits<Nanos>::max();
 
   VirtualClock() = default;
   ~VirtualClock() override = default;
@@ -80,6 +87,12 @@ class VirtualClock final : public util::Clock {
   void thread_begin(const std::string& name) override;
   void thread_end() override;
   void join_thread(std::thread& thread) override;
+  /// Parks the calling participant until notify(cv) or `deadline`; a
+  /// non-participant caller really waits on `cv`.
+  void wait_until(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+                  TimePoint deadline) override;
+  /// Wakes participants parked on `cv` in park order, and real waiters.
+  void notify(std::condition_variable& cv, bool all) override;
 
   /// --- driver --------------------------------------------------------------
   /// Turns the calling thread into a participant that immediately holds the

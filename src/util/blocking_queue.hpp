@@ -3,16 +3,20 @@
 /// \file blocking_queue.hpp
 /// Unbounded MPMC blocking queue with close semantics.
 ///
-/// Used as the mailbox primitive of the in-process transport and as the
-/// client-side stream of partial results. pop() blocks until an item is
-/// available or the queue is closed; a closed, drained queue returns
-/// std::nullopt, which consumers treat as end-of-stream.
+/// Used as the mailbox primitive of the in-process transport, the DMS
+/// prefetch queue and the client-side stream of partial results. pop()
+/// blocks until an item is available or the queue is closed; a closed,
+/// drained queue returns std::nullopt, which consumers treat as
+/// end-of-stream. Waits go through the Clock seam (util::ClockCondition),
+/// so a consumer thread of a virtual-time run parks instead of blocking
+/// the machine.
 
-#include <condition_variable>
 #include <chrono>
 #include <deque>
 #include <mutex>
 #include <optional>
+
+#include "util/clock.hpp"
 
 namespace vira::util {
 
@@ -33,41 +37,18 @@ class BlockingQueue {
   }
 
   /// Blocks until an item arrives or the queue is closed and drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
+  std::optional<T> pop() { return pop_until(Clock::TimePoint::max()); }
 
   /// Like pop() but gives up after `timeout`; returns nullopt on timeout
   /// or on closed-and-drained.
   std::optional<T> pop_for(std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!cv_.wait_for(lock, timeout, [&] { return !items_.empty() || closed_; })) {
-      return std::nullopt;
-    }
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return pop_until(clock_deadline(timeout));
   }
 
   /// Non-blocking pop.
   std::optional<T> try_pop() {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return take_locked();
   }
 
   void close() {
@@ -89,8 +70,23 @@ class BlockingQueue {
   }
 
  private:
+  std::optional<T> pop_until(Clock::TimePoint deadline) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    (void)cv_.wait_until(lock, deadline, [&] { return !items_.empty() || closed_; });
+    return take_locked();
+  }
+
+  std::optional<T> take_locked() {
+    if (items_.empty()) {
+      return std::nullopt;
+    }
+    T item = std::move(items_.front());
+    items_.pop_front();
+    return item;
+  }
+
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  ClockCondition cv_;
   std::deque<T> items_;
   bool closed_ = false;
 };

@@ -52,6 +52,7 @@ void TaskPool::close() {
     }
     orphans.swap(queue_);
   }
+  work_cv_.notify_all();
   // Tasks that never started settle as cancelled so waiters unblock and
   // resources captured by the callables are released now.
   for (auto& task : orphans) {
@@ -64,11 +65,14 @@ void TaskPool::close() {
 }
 
 bool TaskPool::enqueue(std::shared_ptr<detail::TaskStateBase> task) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (closed_.load(std::memory_order_acquire) || threads_.empty()) {
-    return false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_.load(std::memory_order_acquire) || threads_.empty()) {
+      return false;
+    }
+    queue_.push_back(std::move(task));
   }
-  queue_.push_back(std::move(task));
+  work_cv_.notify_one();
   return true;
 }
 
@@ -76,22 +80,17 @@ void TaskPool::worker_loop() {
   for (;;) {
     std::shared_ptr<detail::TaskStateBase> task;
     {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_cv_.wait(lock, [this] {
+        return !queue_.empty() || closed_.load(std::memory_order_acquire);
+      });
+      if (queue_.empty()) {
+        return;  // closed
       }
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    if (task) {
-      task->execute();
-      continue;
-    }
-    if (closed_.load(std::memory_order_acquire)) {
-      return;
-    }
-    // Clock-paced idle poll (same idiom as the DMS prefetch worker): a cv
-    // wait would block the virtual clock's token machine under DST.
-    clock_sleep(kIdleSlice);
+    task->execute();
   }
 }
 

@@ -13,9 +13,9 @@
 ///     the body, join_thread on close), so the pool is schedulable by
 ///     sim::VirtualClock and the whole async path stays deterministic
 ///     under DST.
-///   * All waits are clock-paced polls (clock_sleep slices), never
-///     condition variables: a cooperative virtual clock can only advance
-///     when blocking points release its token, which real cv waits do not.
+///   * All waits are util::ClockCondition waits: an idle pool thread wakes
+///     when a task is queued and Future::get() when its task settles, and
+///     under a cooperative virtual clock both park, releasing the token.
 ///
 /// Futures are single-producer single-consumer: get() may be called once.
 /// A queued task can be cancelled (cancel() returns true iff the task will
@@ -75,11 +75,12 @@ class TaskStateBase {
       error_ = std::current_exception();
       next = Status::kFailed;
     }
+    drop_fn();  // release captured resources at completion, not future teardown
     {
       std::lock_guard<std::mutex> lock(mutex_);
       status_ = next;
     }
-    drop_fn();  // release captured resources at completion, not future teardown
+    settled_cv_.notify_all();
   }
 
   /// Consumer side: true iff the task had not started (it never will now).
@@ -92,20 +93,32 @@ class TaskStateBase {
       status_ = Status::kCancelled;
     }
     drop_fn();
+    settled_cv_.notify_all();
     return true;
   }
 
   bool settled() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return status_ == Status::kDone || status_ == Status::kFailed ||
-           status_ == Status::kCancelled;
+    return settled_locked();
+  }
+
+  /// Waits until settled or `deadline`; true iff settled.
+  bool wait_settled(Clock::TimePoint deadline) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return settled_cv_.wait_until(lock, deadline, [this] { return settled_locked(); });
   }
 
  protected:
   virtual void run_impl() = 0;
   virtual void drop_fn() = 0;
 
+  bool settled_locked() const {
+    return status_ == Status::kDone || status_ == Status::kFailed ||
+           status_ == Status::kCancelled;
+  }
+
   mutable std::mutex mutex_;
+  ClockCondition settled_cv_;
   Status status_ = Status::kQueued;
   std::exception_ptr error_;
 
@@ -157,31 +170,18 @@ class Future {
   /// True once the task is done, failed, or cancelled.
   bool ready() const { return state_ && state_->settled(); }
 
-  /// Clock-paced wait up to `budget`; true iff the task settled in time.
+  /// Waits up to `budget`; true iff the task settled in time.
   bool wait_for(std::chrono::nanoseconds budget) const {
-    if (!state_) {
-      return false;
-    }
-    const auto deadline = clock_now() + budget;
-    while (!state_->settled()) {
-      const auto now = clock_now();
-      if (now >= deadline) {
-        return state_->settled();
-      }
-      clock_sleep(std::min<std::chrono::nanoseconds>(deadline - now, kWaitSlice));
-    }
-    return true;
+    return state_ && state_->wait_settled(clock_deadline(budget));
   }
 
-  /// Blocks (clock-paced) until settled, then returns the value, rethrows
-  /// the task's exception, or throws TaskCancelled. Call at most once.
+  /// Blocks until settled, then returns the value, rethrows the task's
+  /// exception, or throws TaskCancelled. Call at most once.
   T get() {
     if (!state_) {
       throw std::logic_error("Future::get on an invalid future");
     }
-    while (!state_->settled()) {
-      clock_sleep(kWaitSlice);
-    }
+    (void)state_->wait_settled(Clock::TimePoint::max());
     std::exception_ptr error;
     {
       std::lock_guard<std::mutex> lock(state_->mutex_);
@@ -207,8 +207,6 @@ class Future {
   }
 
  private:
-  static constexpr std::chrono::nanoseconds kWaitSlice = std::chrono::microseconds(500);
-
   friend class TaskPool;
   std::shared_ptr<detail::TaskState<T>> state_;
 };
@@ -252,9 +250,8 @@ class TaskPool {
   bool enqueue(std::shared_ptr<detail::TaskStateBase> task);
   void worker_loop();
 
-  static constexpr std::chrono::nanoseconds kIdleSlice = std::chrono::milliseconds(2);
-
   mutable std::mutex mutex_;
+  ClockCondition work_cv_;  ///< queue_ non-empty or closed_
   std::mutex close_mutex_;  ///< serializes close(); held across thread joins
   std::deque<std::shared_ptr<detail::TaskStateBase>> queue_;
   std::atomic<bool> closed_{false};

@@ -523,7 +523,9 @@ TEST(Communicator, ConcurrentPumpingSiblingDoesNotStarveAReceiver) {
   // its whole timeout. With a sibling thread pumping the same rank, the
   // sibling buffers the caller's message and the caller only noticed at its
   // deadline — long enough to trip the scheduler's idle-grace watchdog. The
-  // wait is now sliced, so delivery happens promptly even mid-wait.
+  // pumping thread now hands every message it takes to the waiting
+  // receivers at once (the exact instant is pinned under the virtual clock
+  // by DstEventWaitTest.MessagePumpedBySiblingReachesItsAddresseeAtDelivery).
   auto transport = std::make_shared<vc::InProcTransport>(2);
   vc::Communicator sender(transport, 0);
   vc::Communicator receiver(transport, 1);
@@ -545,4 +547,26 @@ TEST(Communicator, ConcurrentPumpingSiblingDoesNotStarveAReceiver) {
   }
   stop.store(true);
   sibling.join();
+}
+
+TEST(Communicator, TagSetReceiveTakesTheFirstMatchingMessageInArrivalOrder) {
+  // The peer-service thread's shape: one wait covers two tags, and other
+  // tags stay buffered for their own receivers.
+  auto transport = std::make_shared<vc::InProcTransport>(2);
+  vc::Communicator sender(transport, 0);
+  vc::Communicator receiver(transport, 1);
+  sender.send(1, /*tag=*/5, make_payload("other"));
+  sender.send(1, /*tag=*/4, make_payload("first"));
+  sender.send(1, /*tag=*/3, make_payload("second"));
+
+  auto first = receiver.try_recv(vc::kAnySource, {3, 4}, std::chrono::seconds(5));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(read_payload(first->payload), "first");
+  auto second = receiver.try_recv(vc::kAnySource, {3, 4}, std::chrono::seconds(5));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(read_payload(second->payload), "second");
+  EXPECT_FALSE(receiver.try_recv(vc::kAnySource, {3, 4}, std::chrono::milliseconds(0)));
+  auto other = receiver.try_recv(0, 5, std::chrono::milliseconds(0));
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(read_payload(other->payload), "other");
 }

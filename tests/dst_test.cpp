@@ -8,12 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "comm/communicator.hpp"
+#include "core/vmb_data_source.hpp"
+#include "dms/data_proxy.hpp"
+#include "dms/data_server.hpp"
 #include "sim/dst_clock.hpp"
 #include "sim/dst_fuzz.hpp"
 #include "sim/dst_harness.hpp"
+#include "sim/dst_transport.hpp"
+#include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace vira {
@@ -57,6 +67,180 @@ TEST(VirtualClockTest, TimersFireInDueThenRegistrationOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(clock.now_ns(), 10'000'000);
   clock.unregister_driver();
+}
+
+// --- Event-driven waits through the Clock seam ---------------------------------
+//
+// Under the virtual clock a wait that polled in slices would end on a slice
+// boundary; an event-driven one ends at the exact instant of the event. So
+// each test below pins the virtual time at which a wait returns.
+
+/// Installs a VirtualClock as the global clock, the test thread its driver.
+/// Join every participant (clock.join_thread) before this goes out of scope.
+class GlobalVirtualClock {
+ public:
+  GlobalVirtualClock() : clock_(std::make_shared<sim::VirtualClock>()) {
+    clock_->register_driver();
+    util::set_global_clock(clock_.get());
+  }
+  ~GlobalVirtualClock() {
+    util::set_global_clock(nullptr);
+    clock_->unregister_driver();
+  }
+  GlobalVirtualClock(const GlobalVirtualClock&) = delete;
+  GlobalVirtualClock& operator=(const GlobalVirtualClock&) = delete;
+
+  sim::VirtualClock& operator*() { return *clock_; }
+  sim::VirtualClock* operator->() { return clock_.get(); }
+  const std::shared_ptr<sim::VirtualClock>& shared() { return clock_; }
+
+  /// Runs `body` on an announced participant thread named `name`.
+  std::thread spawn(const std::string& name, std::function<void()> body) {
+    clock_->announce_thread(name);
+    return std::thread([this, name, body = std::move(body)] {
+      clock_->thread_begin(name);
+      body();
+      clock_->thread_end();
+    });
+  }
+
+ private:
+  std::shared_ptr<sim::VirtualClock> clock_;
+};
+
+constexpr std::int64_t kMs = 1'000'000;
+
+TEST(VirtualClockTest, ConditionWaitWakesAtTheNotifyInstant) {
+  GlobalVirtualClock clock;
+  std::mutex mutex;
+  util::ClockCondition cv;
+  bool ready = false;
+  bool satisfied = false;
+  std::int64_t woke_at = -1;
+  std::thread waiter = clock.spawn("waiter", [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    satisfied = cv.wait_until(lock, util::clock_deadline(std::chrono::milliseconds(100)),
+                              [&] { return ready; });
+    woke_at = clock->now_ns();
+  });
+  clock->sleep_for(std::chrono::milliseconds(3));  // the waiter parks meanwhile
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    ready = true;
+  }
+  cv.notify_all();
+  clock->join_thread(waiter);
+  EXPECT_TRUE(satisfied);
+  EXPECT_EQ(woke_at, 3 * kMs);  // the notify, not the 100 ms deadline
+}
+
+TEST(VirtualClockTest, ConditionWaitExpiresExactlyAtItsDeadline) {
+  GlobalVirtualClock clock;
+  std::mutex mutex;
+  util::ClockCondition cv;
+  bool released = false;
+  bool timed_result = true;
+  std::int64_t timed_at = -1;
+  std::int64_t untimed_at = -1;
+  std::thread timed = clock.spawn("timed", [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    timed_result = cv.wait_until(lock, util::clock_deadline(std::chrono::milliseconds(7)),
+                                 [] { return false; });
+    timed_at = clock->now_ns();
+  });
+  // An untimed wait never pulls virtual time forward: only the notify below
+  // ends it, after the driver's own 20 ms sleep.
+  std::thread untimed = clock.spawn("untimed", [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return released; });
+    untimed_at = clock->now_ns();
+  });
+  clock->sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+  }
+  cv.notify_one();
+  clock->join_thread(timed);
+  clock->join_thread(untimed);
+  EXPECT_FALSE(timed_result);
+  EXPECT_EQ(timed_at, 7 * kMs);
+  EXPECT_EQ(untimed_at, 20 * kMs);
+}
+
+TEST(DstEventWaitTest, MessagePumpedBySiblingReachesItsAddresseeAtDelivery) {
+  // Two threads receive on rank 1. The sibling waits on the transport, so
+  // it is the one woken by the tag-7 message; it must hand the message to
+  // the tag-7 receiver at once, not at the end of a pump slice.
+  GlobalVirtualClock clock;
+  sim::VirtualTransport::Config config;
+  config.size = 2;
+  auto transport = std::make_shared<sim::VirtualTransport>(clock.shared(), config);
+  comm::Communicator sender(transport, 0);
+  comm::Communicator receiver(transport, 1);
+
+  std::thread sibling = clock.spawn("sibling", [&] {
+    EXPECT_FALSE(receiver.try_recv(comm::kAnySource, 99, std::chrono::milliseconds(50)));
+  });
+  std::int64_t received_at = -1;
+  std::thread addressee = clock.spawn("addressee", [&] {
+    if (receiver.try_recv(0, 7, std::chrono::milliseconds(40))) {
+      received_at = clock->now_ns();
+    }
+  });
+  clock->sleep_for(std::chrono::milliseconds(5));
+  sender.send(1, 7, util::ByteBuffer());
+  clock->join_thread(addressee);
+  clock->join_thread(sibling);
+  EXPECT_EQ(received_at, 5 * kMs);
+}
+
+/// Every load takes 7 virtual ms: off the grid of a 2 ms poll slice, so a
+/// polled wait could not end at the instants the test expects.
+class SevenMsSource final : public dms::DataSource {
+ public:
+  util::ByteBuffer load(const dms::DataItemName& /*name*/) override {
+    util::clock_sleep(std::chrono::milliseconds(7));
+    util::ByteBuffer bytes;
+    bytes.write<std::uint64_t>(42);
+    return bytes;
+  }
+  std::uint64_t item_bytes(const dms::DataItemName& /*name*/) const override { return 8; }
+  std::uint64_t file_bytes(const dms::DataItemName& /*name*/) const override { return 8; }
+  std::string file_key(const dms::DataItemName& name) const override { return name.canonical(); }
+  std::vector<std::pair<dms::DataItemName, util::ByteBuffer>> load_file(
+      const dms::DataItemName& name) override {
+    return {{name, load(name)}};
+  }
+};
+
+TEST(DstEventWaitTest, DemandJoinsTheInFlightPrefetchAndWakesWhenItLands) {
+  // The OBL prefetch of block 1 starts the moment block 0's request queues
+  // it (t = 7 ms) and overlaps the 2.5 ms of "compute" on block 0. The
+  // demand request for block 1 then joins that load and returns when it
+  // lands at t = 14 ms, counted as a useful prefetch.
+  GlobalVirtualClock clock;
+  dms::DataProxyConfig config;
+  config.async_prefetch = true;
+  config.cache.l1_capacity_bytes = 1 << 20;
+  dms::DmsCounters counters;
+  {
+    dms::DataProxy proxy(config, std::make_shared<dms::DataServer>(),
+                         std::make_shared<SevenMsSource>());
+    proxy.configure_prefetcher("obl", core::make_block_successor(proxy.resolver(), 4, 1));
+    (void)proxy.request(dms::block_item("dst", 0, 0));
+    EXPECT_EQ(clock->now_ns(), 7 * kMs);
+    clock->sleep_for(std::chrono::microseconds(2500));
+    (void)proxy.request(dms::block_item("dst", 0, 1));
+    EXPECT_EQ(clock->now_ns(), 14 * kMs);
+    proxy.quiesce();  // block 2, queued by the second request
+    EXPECT_EQ(clock->now_ns(), 21 * kMs);
+    counters = proxy.stats().snapshot();
+  }
+  EXPECT_EQ(counters.misses, 2u);
+  EXPECT_EQ(counters.inflight_waits, 1u);
+  EXPECT_EQ(counters.prefetch_issued, 2u);
+  EXPECT_EQ(counters.prefetch_useful, 1u);
 }
 
 // --- Scenario encoding -------------------------------------------------------
