@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "comm/communicator.hpp"
@@ -25,6 +26,7 @@
 #include "core/protocol.hpp"
 #include "core/vmb_data_source.hpp"
 #include "dms/data_proxy.hpp"
+#include "util/clock.hpp"
 
 namespace vira::core {
 
@@ -70,7 +72,10 @@ class Worker {
   std::atomic<std::uint64_t> current_request_{0};
   /// Internal id the scheduler told us to abandon (0 = none).
   std::atomic<std::uint64_t> abort_request_{0};
-  std::atomic<bool> stopping_{false};
+  /// Set when run() leaves its service loop; ends the heartbeat's wait.
+  std::mutex stop_mutex_;
+  util::ClockCondition stop_cv_;
+  bool stopping_ = false;
 };
 
 }  // namespace vira::core
