@@ -10,10 +10,12 @@
 
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <set>
 #include <utility>
 
 #include "algo/cfd_command.hpp"
+#include "comm/fault_transport.hpp"
 #include "core/backend.hpp"
 #include "perf/report.hpp"
 #include "perf/testbed.hpp"
@@ -50,9 +52,17 @@ core::BackendConfig recovery_config() {
 }
 
 /// Submits one streamed isosurface extraction and drains it, optionally
-/// killing a worker when the first fragment arrives.
-Outcome run_once(core::BackendConfig config, double iso, bool kill_mid_request) {
-  core::Backend backend(std::move(config));
+/// killing a worker when the first fragment arrives. With `faults` the rank
+/// transport is a FaultInjectingTransport over the in-process one.
+Outcome run_once(std::optional<comm::FaultInjectionConfig> faults, double iso,
+                 bool kill_mid_request) {
+  const auto config = recovery_config();
+  std::shared_ptr<comm::FaultInjectingTransport> injector;
+  if (faults) {
+    injector = std::make_shared<comm::FaultInjectingTransport>(
+        std::make_shared<comm::InProcTransport>(config.workers + 1), *faults);
+  }
+  core::Backend backend(config, injector);
   viz::ExtractionSession session(backend.connect());
 
   util::ParamList params;
@@ -80,7 +90,7 @@ Outcome run_once(core::BackendConfig config, double iso, bool kill_mid_request) 
           outcome.exactly_once = false;
         }
         if (kill_mid_request && !killed) {
-          backend.fault_transport()->kill_rank(3);
+          injector->kill_rank(3);
           killed = true;
         }
         break;
@@ -117,39 +127,31 @@ int main() {
   std::printf("\n  %-26s %9s %9s %11s %9s %7s %7s\n", "scenario", "time, s", "retries",
               "fragments", "lost", "ok", "1x");
 
-  const auto baseline = run_once(recovery_config(), iso, false);
+  const auto baseline = run_once(std::nullopt, iso, false);
   print_row("clean (no injector)", baseline);
 
-  auto passthrough_config = recovery_config();
-  passthrough_config.fault_injection = comm::FaultInjectionConfig{};  // rates all zero
-  const auto passthrough = run_once(passthrough_config, iso, false);
+  const auto passthrough = run_once(comm::FaultInjectionConfig{}, iso, false);  // rates all zero
   print_row("injector, zero rates", passthrough);
 
-  auto delay_config = recovery_config();
   comm::FaultInjectionConfig delays;
   delays.seed = 21;
   delays.delay_rate = 0.25;
   delays.max_delay = std::chrono::milliseconds(3);
-  delay_config.fault_injection = delays;
-  const auto delayed = run_once(delay_config, iso, false);
+  const auto delayed = run_once(delays, iso, false);
   print_row("25% delayed", delayed);
 
-  auto lossy_config = recovery_config();
   comm::FaultInjectionConfig lossy;
   lossy.seed = 22;
   lossy.drop_rate = 0.02;
   lossy.duplicate_rate = 0.05;
   lossy.delay_rate = 0.2;
   lossy.max_delay = std::chrono::milliseconds(3);
-  lossy_config.fault_injection = lossy;
-  const auto dropped = run_once(lossy_config, iso, false);
+  const auto dropped = run_once(lossy, iso, false);
   print_row("2% drop + 5% dup", dropped);
 
-  auto kill_config = recovery_config();
   comm::FaultInjectionConfig kill_faults;
   kill_faults.seed = 23;
-  kill_config.fault_injection = kill_faults;
-  const auto killed = run_once(kill_config, iso, true);
+  const auto killed = run_once(kill_faults, iso, true);
   print_row("worker killed mid-run", killed);
 
   perf::print_expectation(

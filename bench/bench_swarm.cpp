@@ -43,10 +43,8 @@ using namespace vira;
 /// Small synthetic Engine fixture (the CLI's recipe): requests take
 /// milliseconds, so the bench stresses the frontend, not the extractors.
 std::string ensure_swarm_dataset() {
-  namespace fs = std::filesystem;
-  const std::string dir = (fs::temp_directory_path() / "vira_swarm_ds").string();
-  if (!fs::exists(fs::path(dir) / "dataset.vmi")) {
-    fs::remove_all(dir);
+  const std::string dir = (std::filesystem::temp_directory_path() / "vira_swarm_ds").string();
+  grid::ensure_dataset(dir, [&] {
     grid::GeneratorConfig config;
     config.directory = dir;
     config.timesteps = 2;
@@ -54,7 +52,7 @@ std::string ensure_swarm_dataset() {
     config.nj = 7;
     config.nk = 6;
     grid::generate_engine(config);
-  }
+  });
   return dir;
 }
 

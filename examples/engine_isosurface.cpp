@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
 
   // A reduced Engine (23 blocks, 2 steps) generated on the fly.
   const auto dataset = (std::filesystem::temp_directory_path() / "vira_example_engine").string();
-  if (!std::filesystem::exists(dataset + "/dataset.vmi")) {
+  grid::ensure_dataset(dataset, [&] {
     std::printf("generating Engine dataset (23 blocks)...\n");
     grid::GeneratorConfig config;
     config.directory = dataset;
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     config.nj = 11;
     config.nk = 9;
     grid::generate_engine(config);
-  }
+  });
 
   // Pick a valid iso value from the density range.
   grid::DatasetReader reader(dataset);

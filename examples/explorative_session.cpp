@@ -37,7 +37,7 @@ int main() {
 
   const auto dataset =
       (std::filesystem::temp_directory_path() / "vira_example_session").string();
-  if (!std::filesystem::exists(dataset + "/dataset.vmi")) {
+  grid::ensure_dataset(dataset, [&] {
     std::printf("generating Engine dataset...\n");
     grid::GeneratorConfig config;
     config.directory = dataset;
@@ -46,7 +46,7 @@ int main() {
     config.nj = 11;
     config.nk = 9;
     grid::generate_engine(config);
-  }
+  });
 
   algo::register_builtin_commands();
   core::BackendConfig config;

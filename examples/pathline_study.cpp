@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   const auto dataset =
       (std::filesystem::temp_directory_path() / "vira_example_engine_t8").string();
-  if (!std::filesystem::exists(dataset + "/dataset.vmi")) {
+  grid::ensure_dataset(dataset, [&] {
     std::printf("generating unsteady Engine dataset (8 time steps)...\n");
     grid::GeneratorConfig config;
     config.directory = dataset;
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     config.nj = 9;
     config.nk = 8;
     grid::generate_engine(config);
-  }
+  });
 
   algo::register_builtin_commands();
   core::BackendConfig config;

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const std::string prefix = argc > 1 ? argv[1] : "propfan_vortices";
 
   const auto dataset = (std::filesystem::temp_directory_path() / "vira_example_propfan").string();
-  if (!std::filesystem::exists(dataset + "/dataset.vmi")) {
+  grid::ensure_dataset(dataset, [&] {
     std::printf("generating Propfan dataset (144 blocks)...\n");
     grid::GeneratorConfig config;
     config.directory = dataset;
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     config.nj = 8;
     config.nk = 7;
     grid::generate_propfan(config);
-  }
+  });
 
   // λ2 threshold "about zero": a small way into the vortical range.
   grid::DatasetReader reader(dataset);

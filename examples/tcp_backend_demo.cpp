@@ -22,11 +22,11 @@ int main(int argc, char** argv) {
   const auto requested_port = static_cast<std::uint16_t>(argc > 1 ? std::atoi(argv[1]) : 0);
 
   const auto dataset = (std::filesystem::temp_directory_path() / "vira_example_tcp").string();
-  if (!std::filesystem::exists(dataset + "/dataset.vmi")) {
+  grid::ensure_dataset(dataset, [&] {
     grid::AbcFlow flow;
     grid::generate_box(dataset, flow, 1, 13, 13, 13, {0, 0, 0}, {6.28, 6.28, 6.28}, 0.1,
                        /*nblocks=*/4);
-  }
+  });
 
   // --- server side ---------------------------------------------------------
   algo::register_builtin_commands();

@@ -1,33 +1,43 @@
 #include "core/backend.hpp"
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/remote_server_api.hpp"
+#include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace vira::core {
 
-Backend::Backend(BackendConfig config) : config_(std::move(config)) {
+Backend::Backend(BackendConfig config, std::shared_ptr<comm::Transport> transport,
+                 std::shared_ptr<dms::DataSource> source)
+    : config_(std::move(config)), transport_(std::move(transport)) {
   if (config_.workers < 1) {
     throw std::invalid_argument("Backend: need at least one worker");
   }
-
-  transport_ = std::make_shared<comm::InProcTransport>(config_.workers + 1);
-  std::shared_ptr<comm::Transport> rank_transport = transport_;
-  if (config_.fault_injection) {
-    fault_transport_ =
-        std::make_shared<comm::FaultInjectingTransport>(transport_, *config_.fault_injection);
-    rank_transport = fault_transport_;
+  if (!transport_) {
+    transport_ = std::make_shared<comm::InProcTransport>(config_.workers + 1);
   }
-  source_ = std::make_shared<VmbDataSource>();
-  source_->set_read_delay_us_per_mb(config_.read_delay_us_per_mb);
+  if (transport_->size() != config_.workers + 1) {
+    throw std::invalid_argument("Backend: transport needs workers + 1 = " +
+                                std::to_string(config_.workers + 1) + " ranks, has " +
+                                std::to_string(transport_->size()));
+  }
+  if (!source) {
+    auto vmb = std::make_shared<VmbDataSource>();
+    vmb->set_read_delay_us_per_mb(config_.read_delay_us_per_mb);
+    source = std::move(vmb);
+  }
+  const auto vmb_source = std::dynamic_pointer_cast<VmbDataSource>(source);
   data_server_ = std::make_shared<dms::DataServer>(config_.environment);
 
   // Worker communicators first: the message-based DMS wiring shares them
   // between the worker loop and the proxy's prefetch thread.
   std::vector<std::shared_ptr<comm::Communicator>> worker_comms;
   for (int index = 0; index < config_.workers; ++index) {
-    worker_comms.push_back(std::make_shared<comm::Communicator>(rank_transport, index + 1));
+    worker_comms.push_back(std::make_shared<comm::Communicator>(transport_, index + 1));
   }
 
   // One proxy per worker node (paper Fig. 3).
@@ -37,10 +47,12 @@ Backend::Backend(BackendConfig config) : config_(std::move(config)) {
     proxy_config.cache.l1_capacity_bytes = config_.l1_cache_bytes;
     proxy_config.cache.policy = config_.cache_policy;
     if (config_.l2_directory == "<auto>") {
+      // The pid keeps the name unique across processes: two test binaries
+      // running at once may build their backends at the same address.
       proxy_config.cache.l2_directory =
           (std::filesystem::temp_directory_path() /
-           ("vira_l2_proxy_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)) + "_" +
-            std::to_string(index)))
+           ("vira_l2_proxy_" + std::to_string(::getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + "_" + std::to_string(index)))
               .string();
       proxy_config.cache.l2_capacity_bytes = config_.l2_cache_bytes;
     } else if (!config_.l2_directory.empty()) {
@@ -53,7 +65,7 @@ Backend::Backend(BackendConfig config) : config_(std::move(config)) {
     if (config_.dms_over_messages) {
       server_api = std::make_shared<RemoteServerApi>(worker_comms[static_cast<std::size_t>(index)]);
     }
-    proxies_.push_back(std::make_shared<dms::DataProxy>(proxy_config, server_api, source_));
+    proxies_.push_back(std::make_shared<dms::DataProxy>(proxy_config, server_api, source));
   }
 
   // Peer transfer across proxies ("across work group boundaries").
@@ -89,19 +101,18 @@ Backend::Backend(BackendConfig config) : config_(std::move(config)) {
     });
   }
 
-  scheduler_ = std::make_unique<Scheduler>(rank_transport, config_.workers, config_.scheduler);
-  if (config_.dms_over_messages) {
-    scheduler_->set_data_server(data_server_);
-  }
+  scheduler_ = std::make_unique<Scheduler>(transport_, config_.workers, data_server_,
+                                           config_.scheduler);
   for (int index = 0; index < config_.workers; ++index) {
     workers_.push_back(std::make_unique<Worker>(worker_comms[static_cast<std::size_t>(index)],
-                                                proxies_[index], source_,
-                                                &CommandRegistry::global(), config_.worker));
+                                                proxies_[static_cast<std::size_t>(index)],
+                                                vmb_source, config_.worker));
   }
 
-  scheduler_thread_ = std::thread([this] { scheduler_->run(); });
+  scheduler_thread_ = util::spawn_thread("sched", [this] { scheduler_->run(); });
   for (auto& worker : workers_) {
-    worker_threads_.emplace_back([&worker] { worker->run(); });
+    worker_threads_.push_back(util::spawn_thread("worker." + std::to_string(worker->rank()),
+                                                 [worker = worker.get()] { worker->run(); }));
   }
 }
 
@@ -144,21 +155,13 @@ void Backend::shutdown() {
     event_loop_->stop();
   }
   scheduler_->stop();
-  if (scheduler_thread_.joinable()) {
-    scheduler_thread_.join();
-  }
-  // Close the transport BEFORE joining workers: a rank "killed" by the
-  // fault harness can never receive the orderly kTagShutdown (delivery to
-  // it is suppressed), so its service loop only exits via TransportClosed.
-  if (fault_transport_) {
-    fault_transport_->shutdown();  // forwards to the inner transport
-  } else {
-    transport_->shutdown();
-  }
+  util::global_clock().join_thread(scheduler_thread_);
+  // Close the transport BEFORE joining workers: a rank "killed" by a fault
+  // injector can never receive the orderly kTagShutdown (delivery to it is
+  // suppressed), so its service loop only exits via TransportClosed.
+  transport_->shutdown();
   for (auto& thread : worker_threads_) {
-    if (thread.joinable()) {
-      thread.join();
-    }
+    util::global_clock().join_thread(thread);
   }
   // Drain every proxy's prefetch pipeline BEFORE members destruct: an
   // in-flight speculative load may peer-peek into a sibling proxy's cache,

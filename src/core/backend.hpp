@@ -3,21 +3,22 @@
 /// \file backend.hpp
 /// The assembled Viracocha post-processing backend.
 ///
-/// Owns the whole server side of Figure 2: the rank transport, the
-/// scheduler (rank 0), N workers (ranks 1..N, one thread each), the DMS
-/// (central data server + one proxy per worker, with peer transfer wired
-/// across proxies), and the client attachment point (in-process link or a
-/// real TCP listener).
+/// Owns the whole server side of Figure 2: the scheduler (rank 0), N
+/// workers (ranks 1..N, one thread each), the DMS (central data server +
+/// one proxy per worker, with peer transfer wired across proxies), and the
+/// client attachment point (in-process link or a real TCP listener). It is
+/// the only place the runtime is assembled: the rank transport and the
+/// data source are injectable, so fault tests and the DST harness run this
+/// same stack over a fault-injecting or virtual-time transport.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "comm/client_link.hpp"
-#include "comm/fault_transport.hpp"
+#include "comm/transport.hpp"
 #include "core/scheduler.hpp"
 #include "core/worker.hpp"
 #include "dms/data_server.hpp"
@@ -44,7 +45,8 @@ struct BackendConfig {
   std::size_t prefetch_depth = 2;
 
   dms::LoadEnvironment environment;
-  /// Artificial storage slow-down (µs per MiB) for I/O-sensitive benches.
+  /// Artificial storage slow-down (µs per MiB) of the default VmbDataSource
+  /// for I/O-sensitive benches.
   double read_delay_us_per_mb = 0.0;
 
   /// Route proxy↔server DMS traffic through rank messages serviced by the
@@ -68,16 +70,20 @@ struct BackendConfig {
   /// Liveness / recovery policy (DESIGN.md "Failure model").
   WorkerConfig worker;
   SchedulerConfig scheduler;
-
-  /// When set, the rank transport is wrapped in a FaultInjectingTransport
-  /// (drops / duplicates / delays / rank kills) — the failure-model test
-  /// harness. Unset = the plain transport, zero overhead.
-  std::optional<comm::FaultInjectionConfig> fault_injection;
 };
 
 class Backend {
  public:
-  explicit Backend(BackendConfig config = BackendConfig{});
+  /// `transport` carries the rank traffic and must have workers + 1
+  /// endpoints; the default is an InProcTransport. Fault tests pass a
+  /// comm::FaultInjectingTransport over one, DST its VirtualTransport.
+  /// `source` serves the DMS loads; the default is a VmbDataSource, the
+  /// only source that answers commands' dataset-metadata queries. Threads
+  /// start and join through the util::Clock thread hooks, so the whole
+  /// stack can run under a virtual clock.
+  explicit Backend(BackendConfig config = BackendConfig{},
+                   std::shared_ptr<comm::Transport> transport = nullptr,
+                   std::shared_ptr<dms::DataSource> source = nullptr);
   ~Backend();
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
@@ -94,12 +100,9 @@ class Backend {
 
   /// --- introspection for benches and tests --------------------------------
   int worker_count() const { return config_.workers; }
-  VmbDataSource& source() { return *source_; }
   dms::DataServer& data_server() { return *data_server_; }
   dms::DataProxy& worker_proxy(int index) { return *proxies_.at(static_cast<std::size_t>(index)); }
   Scheduler& scheduler() { return *scheduler_; }
-  /// The injection harness, or nullptr when fault_injection was not set.
-  comm::FaultInjectingTransport* fault_transport() { return fault_transport_.get(); }
   /// The TCP frontend, or nullptr before serve_tcp().
   net::EventLoop* event_loop() { return event_loop_.get(); }
 
@@ -111,9 +114,7 @@ class Backend {
 
  private:
   BackendConfig config_;
-  std::shared_ptr<comm::InProcTransport> transport_;
-  std::shared_ptr<comm::FaultInjectingTransport> fault_transport_;
-  std::shared_ptr<VmbDataSource> source_;
+  std::shared_ptr<comm::Transport> transport_;
   std::shared_ptr<dms::DataServer> data_server_;
   std::vector<std::shared_ptr<dms::DataProxy>> proxies_;
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -1,6 +1,7 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/clock.hpp"
 
@@ -54,11 +55,15 @@ std::uint64_t fragment_key(const FragmentHeader& header) {
 }  // namespace
 
 Scheduler::Scheduler(std::shared_ptr<comm::Transport> transport, int worker_count,
-                     SchedulerConfig config)
+                     std::shared_ptr<dms::DataServer> data_server, SchedulerConfig config)
     : comm_(transport, 0),
       worker_count_(worker_count),
       config_(config),
+      data_server_(std::move(data_server)),
       transport_(std::move(transport)) {
+  if (!data_server_) {
+    throw std::invalid_argument("Scheduler: data server required");
+  }
   if (config_.result_cache.enabled) {
     result_cache_ = std::make_unique<ResultCache>(config_.result_cache);
   }
@@ -317,11 +322,7 @@ void Scheduler::poll_workers(bool idle) {
         break;
       case kTagDmsRequest:
       case kTagDmsNotify:
-        if (data_server_) {
-          service_dms_message(*data_server_, comm_, *msg, msg->tag == kTagDmsRequest);
-        } else {
-          VIRA_WARN("scheduler") << "DMS message but no data server attached";
-        }
+        service_dms_message(*data_server_, comm_, *msg, msg->tag == kTagDmsRequest);
         break;
       default:
         VIRA_WARN("scheduler") << "dropping unknown worker tag " << msg->tag << " from "
@@ -838,7 +839,7 @@ void Scheduler::reap_closed_clients() {
 }
 
 std::uint64_t Scheduler::current_data_version() const {
-  return data_server_ ? data_server_->names().data_version() : 1;
+  return data_server_->names().data_version();
 }
 
 /// Keys every unchecked attempt-0 entry once and serves cache hits without

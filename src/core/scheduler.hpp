@@ -119,7 +119,11 @@ struct SchedulerConfig {
 
 class Scheduler {
  public:
+  /// `data_server` names and versions the DMS items: its dataset version
+  /// keys the result cache, and it answers message-based DMS traffic
+  /// (RemoteServerApi strategy/naming requests).
   Scheduler(std::shared_ptr<comm::Transport> transport, int worker_count,
+            std::shared_ptr<dms::DataServer> data_server,
             SchedulerConfig config = SchedulerConfig{});
 
   /// Attaches an additional client connection (multiple visualization
@@ -129,12 +133,6 @@ class Scheduler {
 
   /// Number of live client connections (closed links are pruned lazily).
   std::size_t client_count() const;
-
-  /// Enables servicing of message-based DMS traffic (RemoteServerApi):
-  /// the scheduler answers strategy/naming requests against this server.
-  void set_data_server(std::shared_ptr<dms::DataServer> server) {
-    data_server_ = std::move(server);
-  }
 
   /// Blocks servicing requests until stop(). Sends kTagShutdown to all
   /// workers on the way out.
@@ -263,7 +261,7 @@ class Scheduler {
   /// else the whole alive pool (the seed's derived default).
   int requested_width(const PendingRequest& entry, int alive) const;
   void note_dispatch(PendingRequest& entry);
-  /// Current NameService dataset version (1 when no data server attached).
+  /// Current NameService dataset version.
   std::uint64_t current_data_version() const;
   /// Keys unchecked attempt-0 entries against the result cache and serves
   /// hits by replaying the recorded fragment sequence — no work group is

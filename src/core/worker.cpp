@@ -11,12 +11,10 @@
 namespace vira::core {
 
 Worker::Worker(std::shared_ptr<comm::Communicator> comm, std::shared_ptr<dms::DataProxy> proxy,
-               std::shared_ptr<VmbDataSource> source, const CommandRegistry* registry,
-               WorkerConfig config)
+               std::shared_ptr<VmbDataSource> source, WorkerConfig config)
     : comm_(std::move(comm)),
       proxy_(std::move(proxy)),
       source_(std::move(source)),
-      registry_(registry != nullptr ? registry : &CommandRegistry::global()),
       config_(config) {
   if (!comm_) {
     throw std::invalid_argument("Worker: communicator required");
@@ -38,16 +36,8 @@ void Worker::run() {
   }
   std::thread heartbeat;
   if (config_.heartbeat_interval.count() > 0) {
-    // Announce-before-spawn: a cooperative clock (DST) reserves the
-    // heartbeat thread's schedule slot deterministically, keyed by this
-    // unique name, before the OS thread even starts.
-    const std::string beacon = "worker.hb." + std::to_string(comm_->rank());
-    util::global_clock().announce_thread(beacon);
-    heartbeat = std::thread([this, beacon] {
-      util::global_clock().thread_begin(beacon);
-      heartbeat_loop();
-      util::global_clock().thread_end();
-    });
+    heartbeat = util::spawn_thread("worker.hb." + std::to_string(comm_->rank()),
+                                   [this] { heartbeat_loop(); });
   }
   try {
     // Receive only control tags: anything else (e.g. a DMS reply destined
@@ -166,6 +156,9 @@ void Worker::execute_order(ExecuteOrder order) {
     comm_->send(0, kTagProgressUp, std::move(packet));
   };
   hooks.dataset_meta = [this](const std::string& dir) -> const grid::DatasetMeta& {
+    if (!source_) {
+      throw std::runtime_error("dataset metadata of " + dir + " needs a .vmb data source");
+    }
     return source_->meta(dir);
   };
   hooks.should_abort = [this, request_id] { return abort_request_.load() == request_id; };
@@ -190,7 +183,7 @@ void Worker::execute_order(ExecuteOrder order) {
   report.request_id = request_id;
   report.rank = comm_->rank();
   try {
-    auto command = registry_->create(order.command);
+    auto command = CommandRegistry::global().create(order.command);
     VIRA_DEBUG("worker") << "rank " << comm_->rank() << " executing " << order.command
                          << " (request " << request_id << ")";
     command->execute(context);

@@ -43,10 +43,12 @@ struct WorkerConfig {
 class Worker {
  public:
   /// `comm` is shared so the DMS's RemoteServerApi (if configured) can use
-  /// the same rank endpoint from the proxy's prefetch thread.
+  /// the same rank endpoint from the proxy's prefetch thread. `source`
+  /// answers commands' dataset-metadata queries; without one (a Backend
+  /// over another DataSource) such a query fails the command. Commands
+  /// come from CommandRegistry::global().
   Worker(std::shared_ptr<comm::Communicator> comm, std::shared_ptr<dms::DataProxy> proxy,
-         std::shared_ptr<VmbDataSource> source, const CommandRegistry* registry,
-         WorkerConfig config = WorkerConfig{});
+         std::shared_ptr<VmbDataSource> source, WorkerConfig config = WorkerConfig{});
 
   /// Blocks until shutdown (kTagShutdown or transport closed).
   void run();
@@ -64,7 +66,6 @@ class Worker {
   std::shared_ptr<comm::Communicator> comm_;
   std::shared_ptr<dms::DataProxy> proxy_;
   std::shared_ptr<VmbDataSource> source_;
-  const CommandRegistry* registry_;
   WorkerConfig config_;
 
   /// Internal id of the request being executed (0 = idle); read by the

@@ -35,13 +35,8 @@ DataProxy::DataProxy(DataProxyConfig config, std::shared_ptr<ServerApi> server,
   // configure_prefetcher() installs one, stay with NullPrefetcher.
   prefetcher_ = std::make_unique<NullPrefetcher>();
   if (config_.async_prefetch) {
-    const std::string name = "dms.prefetch." + std::to_string(config_.proxy_id);
-    util::global_clock().announce_thread(name);
-    prefetch_thread_ = std::thread([this, name] {
-      util::global_clock().thread_begin(name);
-      prefetch_worker();
-      util::global_clock().thread_end();
-    });
+    prefetch_thread_ = util::spawn_thread("dms.prefetch." + std::to_string(config_.proxy_id),
+                                          [this] { prefetch_worker(); });
   }
 }
 
@@ -68,13 +63,8 @@ void DataProxy::configure_sharding(std::shared_ptr<ShardMap> map,
   shard_map_ = std::move(map);
   peer_comm_ = std::move(comm);
   peer_fetch_timeout_ = fetch_timeout;
-  const std::string name = "dms.peer." + std::to_string(config_.proxy_id);
-  util::global_clock().announce_thread(name);
-  peer_thread_ = std::thread([this, name] {
-    util::global_clock().thread_begin(name);
-    peer_service_loop();
-    util::global_clock().thread_end();
-  });
+  peer_thread_ = util::spawn_thread("dms.peer." + std::to_string(config_.proxy_id),
+                                   [this] { peer_service_loop(); });
 }
 
 void DataProxy::on_data_version(std::uint64_t version) { raise_data_version(version); }

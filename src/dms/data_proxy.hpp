@@ -50,7 +50,6 @@ namespace vira::dms {
 struct DataProxyConfig {
   int proxy_id = 0;
   TwoTierCache::Config cache;
-  std::string prefetcher = "obl";
   std::size_t prefetch_depth = 2;   ///< max suggestions executed per request
   bool async_prefetch = true;       ///< run prefetches on a background thread
 };
@@ -89,8 +88,9 @@ class DataProxy {
   /// to invoke code prefetches"). Non-blocking when async.
   void code_prefetch(const DataItemName& name);
 
-  /// Installs the successor relation used by the sequential prefetchers;
-  /// replaces the prefetcher configured at construction.
+  /// Installs the prefetcher `kind` (make_prefetcher) with the successor
+  /// relation the sequential prefetchers need; until then the proxy does
+  /// not prefetch.
   void configure_prefetcher(const std::string& kind, SuccessorFn successor);
 
   void set_peer_fetch(PeerFetchFn fn);

@@ -244,4 +244,14 @@ StructuredBlock DatasetReader::read_block(int step, int block) const {
   return StructuredBlock::deserialize(bytes);
 }
 
+DatasetMeta ensure_dataset(const std::string& directory, const std::function<void()>& generate) {
+  try {
+    return DatasetReader(directory).meta();
+  } catch (const std::exception&) {
+    std::filesystem::remove_all(directory);
+    generate();
+    return DatasetReader(directory).meta();
+  }
+}
+
 }  // namespace vira::grid

@@ -12,6 +12,7 @@
 /// disk is printed straight from it).
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,12 @@ class DatasetReader {
   std::string directory_;
   DatasetMeta meta_;
 };
+
+/// The dataset cached in `directory`. When its index is missing or does not
+/// parse (e.g. a cache written by another format version), the directory is
+/// wiped and `generate` writes it again, once: a freshly generated dataset
+/// that still does not open throws.
+DatasetMeta ensure_dataset(const std::string& directory, const std::function<void()>& generate);
 
 /// Convenience for tests: write a ByteBuffer to / read one from a file.
 void write_file(const std::string& path, const util::ByteBuffer& buffer);

@@ -1,28 +1,22 @@
 #include "sim/dst_harness.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <deque>
-#include <filesystem>
 #include <iostream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "comm/client_link.hpp"
-#include "comm/communicator.hpp"
+#include "core/backend.hpp"
 #include "core/command.hpp"
 #include "core/protocol.hpp"
-#include "core/scheduler.hpp"
 #include "core/vmb_data_source.hpp"
-#include "core/worker.hpp"
 #include "dms/data_item.hpp"
-#include "dms/data_server.hpp"
 #include "dms/data_source.hpp"
 #include "util/clock.hpp"
-#include "util/log.hpp"
 
 namespace vira::sim {
 
@@ -217,220 +211,67 @@ class DstWorkCommand final : public core::Command {
   }
 };
 
-/// The real stack, assembled like core::Backend but DST-shaped: virtual
-/// transport, synthetic data source, direct (in-process) DataServer API,
-/// a local command registry, and clock-announced threads.
-class DstStack {
- public:
-  DstStack(const Scenario& s, std::shared_ptr<VirtualClock> clock)
-      : scenario_(s), clock_(std::move(clock)) {
-    registry_.register_command("dst.work", [] { return std::make_unique<DstWorkCommand>(); });
-
-    VirtualTransport::Config tconfig;
-    tconfig.size = s.workers + 1;
-    tconfig.faults.seed = s.seed ^ 0xd57f417a5eedull;
-    tconfig.faults.drop_rate = s.drop_rate;
-    tconfig.faults.duplicate_rate = s.duplicate_rate;
-    tconfig.faults.delay_rate = s.delay_rate;
-    tconfig.faults.max_delay = std::chrono::milliseconds(s.max_delay_ms);
-    for (const auto& [ms, rank] : s.kills) {
-      tconfig.kills.emplace_back(std::chrono::milliseconds(ms), rank);
-    }
-    transport_ = std::make_shared<VirtualTransport>(clock_, tconfig);
-
-    source_ = std::make_shared<SimDataSource>(s.item_count, s.item_bytes, s.seed);
-    server_ = std::make_shared<dms::DataServer>();
-
-    std::vector<std::shared_ptr<comm::Communicator>> comms;
-    for (int index = 0; index < s.workers; ++index) {
-      comms.push_back(std::make_shared<comm::Communicator>(transport_, index + 1));
-    }
-
-    for (int index = 0; index < s.workers; ++index) {
-      dms::DataProxyConfig pconfig;
-      pconfig.proxy_id = index;
-      pconfig.cache.l1_capacity_bytes = s.l1_bytes;
-      pconfig.cache.policy = s.policy;
-      if (s.l2) {
-        pconfig.cache.l2_directory = l2_directory(index);
-        pconfig.cache.l2_capacity_bytes = s.l2_bytes;
-      }
-      pconfig.prefetcher = "null";  // configure_prefetcher installs the real one
-      pconfig.async_prefetch = s.async_prefetch;
-      proxies_.push_back(std::make_shared<dms::DataProxy>(pconfig, server_, source_));
-      if (s.prefetcher != "null") {
-        proxies_.back()->configure_prefetcher(
-            s.prefetcher, core::make_block_successor(proxies_.back()->resolver(), s.item_count,
-                                                     /*step_count=*/1, /*wrap_steps=*/false));
-      }
-    }
-    for (auto& proxy : proxies_) {
-      proxy->set_peer_fetch([this](int peer, dms::ItemId id) -> dms::Blob {
-        if (peer < 0 || peer >= static_cast<int>(proxies_.size())) {
-          return nullptr;
-        }
-        return proxies_[static_cast<std::size_t>(peer)]->cache().peek(id);
-      });
-    }
-
-    // Sharded DMS: every proxy gets its own ShardMap (identical seed ⇒
-    // identical routing, no shared state — death marks stay local, learned
-    // from each proxy's own fetch timeouts) and its worker communicator for
-    // the kTagPeerFetch/kTagPeerBlock/kTagPeerPush traffic.
-    if (s.shards > 1) {
-      dms::ShardMap::Config shard_config;
-      shard_config.members = std::min(s.shards, s.workers);
-      shard_config.replication = s.repl;
-      shard_config.seed = s.seed;
-      for (int index = 0; index < s.workers; ++index) {
-        proxies_[static_cast<std::size_t>(index)]->configure_sharding(
-            std::make_shared<dms::ShardMap>(shard_config), comms[static_cast<std::size_t>(index)],
-            std::chrono::milliseconds(50));
-      }
-      // Bumps must invalidate every replica, not just the scheduler's
-      // result cache — a stale replica serving a pre-bump block over the
-      // peer wire is exactly what oracle 8/9 would flag.
-      server_->names().on_bump([this](std::uint64_t version) {
-        for (auto& proxy : proxies_) {
-          proxy->on_data_version(version);
-        }
-      });
-    }
-
-    core::SchedulerConfig sconfig;
-    sconfig.death_timeout = std::chrono::milliseconds(s.death_ms);
-    sconfig.idle_grace = std::chrono::milliseconds(s.idle_grace_ms);
-    sconfig.max_retries = s.max_retries;
-    sconfig.retry_backoff = std::chrono::milliseconds(s.backoff_ms);
-    sconfig.request_timeout = std::chrono::milliseconds(s.request_timeout_ms);
-    sconfig.fragment_dedup = s.fragment_dedup;
-    sconfig.policy = s.qos_fair ? core::SchedPolicy::kFairShare : core::SchedPolicy::kFifo;
-    sconfig.max_queue_per_client = static_cast<std::size_t>(std::max(0, s.max_queue));
-    sconfig.max_head_bypass = s.head_bypass;
-    if (s.result_cache_kb > 0) {
-      sconfig.result_cache.enabled = true;
-      sconfig.result_cache.memory_bytes = static_cast<std::uint64_t>(s.result_cache_kb) * 1024;
-      // Reuse the scenario's DMS policy so all replacement classes get
-      // exercised on the result-cache side too.
-      sconfig.result_cache.policy = s.policy;
-    }
-    scheduler_ = std::make_unique<core::Scheduler>(transport_, s.workers, sconfig);
-    if (s.result_cache_kb > 0) {
-      // Only wired when the cache is on: the name-service version feed is
-      // what invalidation keys off, and leaving it detached in rc=0 runs
-      // keeps legacy trajectories byte-identical.
-      scheduler_->set_data_server(server_);
-    }
-
-    core::WorkerConfig wconfig;
-    wconfig.heartbeat_interval = std::chrono::milliseconds(s.heartbeat_ms);
-    wconfig.pipeline_threads = s.pipeline_threads;
-    for (int index = 0; index < s.workers; ++index) {
-      workers_.push_back(std::make_unique<core::Worker>(
-          comms[static_cast<std::size_t>(index)], proxies_[static_cast<std::size_t>(index)],
-          nullptr, &registry_, wconfig));
-    }
-
-    for (int index = 0; index < std::max(1, s.clients); ++index) {
-      auto [client_side, server_side] = comm::make_inproc_link_pair();
-      clients_.push_back(std::move(client_side));
-      scheduler_->attach_client(std::move(server_side));
-    }
+struct RegisterDstWork {
+  RegisterDstWork() {
+    core::CommandRegistry::global().register_command(
+        "dst.work", [] { return std::make_unique<DstWorkCommand>(); });
   }
-
-  ~DstStack() {
-    stop();
-    // The proxies join their prefetch threads in their destructors (via the
-    // clock), so the stack must be destroyed while the driver still
-    // participates in the machine.
-    workers_.clear();
-    proxies_.clear();
-    if (!l2_root_.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(l2_root_, ec);
-    }
-  }
-
-  /// Spawns the scheduler and worker threads as clock participants. Caller
-  /// must hold the machine token (be the driver).
-  void start() {
-    clock_->announce_thread("sched");
-    threads_.emplace_back([this] {
-      clock_->thread_begin("sched");
-      scheduler_->run();
-      clock_->thread_end();
-    });
-    for (int index = 0; index < scenario_.workers; ++index) {
-      const std::string name = "worker." + std::to_string(index + 1);
-      clock_->announce_thread(name);
-      core::Worker* worker = workers_[static_cast<std::size_t>(index)].get();
-      threads_.emplace_back([this, worker, name] {
-        clock_->thread_begin(name);
-        worker->run();
-        clock_->thread_end();
-      });
-    }
-  }
-
-  void stop() {
-    if (stopped_) {
-      return;
-    }
-    stopped_ = true;
-    scheduler_->stop();
-    if (!threads_.empty()) {
-      clock_->join_thread(threads_.front());  // scheduler exits, sends shutdowns
-    }
-    // Shut the transport down before joining workers: a killed rank never
-    // receives its orderly kTagShutdown (suppressed), so its service loop
-    // only exits via TransportClosed (mirrors core::Backend::shutdown).
-    transport_->shutdown();
-    for (std::size_t i = 1; i < threads_.size(); ++i) {
-      clock_->join_thread(threads_[i]);
-    }
-    threads_.clear();
-  }
-
-  comm::ClientLink& client(std::size_t index = 0) { return *clients_.at(index); }
-  std::size_t client_count() const { return clients_.size(); }
-  dms::DataServer& server() { return *server_; }
-  SimDataSource& sim_source() { return *source_; }
-  /// Invalidates every memoized result (scenario `bumps=` schedule).
-  void bump_data_version() { server_->names().bump_data_version(); }
-  core::Scheduler& scheduler() { return *scheduler_; }
-  VirtualTransport& transport() { return *transport_; }
-  std::vector<std::shared_ptr<dms::DataProxy>>& proxies() { return proxies_; }
-
- private:
-  std::string l2_directory(int index) {
-    if (l2_root_.empty()) {
-      // Distinct per stack AND per process: dst_test and vira-dst run the
-      // same seeds concurrently under parallel ctest, and a shared spill
-      // directory would let them clobber each other's L2 files — observed
-      // as a trajectory-hash divergence on replay.
-      static std::atomic<std::uint64_t> counter{0};
-      l2_root_ = (std::filesystem::temp_directory_path() /
-                  ("vira_dst_l2_" + std::to_string(::getpid()) + "_" +
-                   std::to_string(counter.fetch_add(1))))
-                     .string();
-    }
-    return l2_root_ + "/proxy_" + std::to_string(index);
-  }
-
-  Scenario scenario_;
-  std::shared_ptr<VirtualClock> clock_;
-  core::CommandRegistry registry_;
-  std::shared_ptr<VirtualTransport> transport_;
-  std::shared_ptr<SimDataSource> source_;
-  std::shared_ptr<dms::DataServer> server_;
-  std::vector<std::shared_ptr<dms::DataProxy>> proxies_;
-  std::unique_ptr<core::Scheduler> scheduler_;
-  std::vector<std::unique_ptr<core::Worker>> workers_;
-  std::vector<std::shared_ptr<comm::ClientLink>> clients_;
-  std::vector<std::thread> threads_;
-  std::string l2_root_;
-  bool stopped_ = false;
 };
+RegisterDstWork register_dst_work;  // NOLINT
+
+/// The scenario's fault schedule on a virtual transport with one rank for
+/// the scheduler and one per worker.
+VirtualTransport::Config transport_config(const Scenario& s) {
+  VirtualTransport::Config config;
+  config.size = s.workers + 1;
+  config.faults.seed = s.seed ^ 0xd57f417a5eedull;
+  config.faults.drop_rate = s.drop_rate;
+  config.faults.duplicate_rate = s.duplicate_rate;
+  config.faults.delay_rate = s.delay_rate;
+  config.faults.max_delay = std::chrono::milliseconds(s.max_delay_ms);
+  for (const auto& [ms, rank] : s.kills) {
+    config.kills.emplace_back(std::chrono::milliseconds(ms), rank);
+  }
+  return config;
+}
+
+/// The scenario's DMS, scheduler and worker knobs as a Backend
+/// configuration (the DMS talks to the data server by direct calls).
+core::BackendConfig backend_config(const Scenario& s) {
+  core::BackendConfig config;
+  config.workers = s.workers;
+  config.l1_cache_bytes = s.l1_bytes;
+  config.cache_policy = s.policy;
+  if (s.l2) {
+    config.l2_directory = "<auto>";
+    config.l2_cache_bytes = s.l2_bytes;
+  }
+  config.async_prefetch = s.async_prefetch;
+  config.dms_shards = s.shards;
+  config.dms_replication = s.repl;
+
+  config.worker.heartbeat_interval = std::chrono::milliseconds(s.heartbeat_ms);
+  config.worker.pipeline_threads = s.pipeline_threads;
+
+  core::SchedulerConfig& sconfig = config.scheduler;
+  sconfig.death_timeout = std::chrono::milliseconds(s.death_ms);
+  sconfig.idle_grace = std::chrono::milliseconds(s.idle_grace_ms);
+  sconfig.max_retries = s.max_retries;
+  sconfig.retry_backoff = std::chrono::milliseconds(s.backoff_ms);
+  sconfig.request_timeout = std::chrono::milliseconds(s.request_timeout_ms);
+  sconfig.fragment_dedup = s.fragment_dedup;
+  sconfig.policy = s.qos_fair ? core::SchedPolicy::kFairShare : core::SchedPolicy::kFifo;
+  sconfig.max_queue_per_client = static_cast<std::size_t>(std::max(0, s.max_queue));
+  sconfig.max_head_bypass = s.head_bypass;
+  if (s.result_cache_kb > 0) {
+    sconfig.result_cache.enabled = true;
+    sconfig.result_cache.memory_bytes = static_cast<std::uint64_t>(s.result_cache_kb) * 1024;
+    // Reuse the scenario's DMS policy so all replacement classes get
+    // exercised on the result-cache side too.
+    sconfig.result_cache.policy = s.policy;
+  }
+  return config;
+}
 
 /// Client-side bookkeeping for the oracles.
 struct RequestState {
@@ -670,17 +511,17 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   // consuming *real* CPU progress for this long has wedged the machine (a
   // bug in the DST conversion, e.g. a product path blocking on a real
   // primitive) — dump the participant states so the wedge is debuggable.
-  // Reads only happen under the machine lock; determinism is unaffected.
-  std::atomic<bool> scenario_done{false};
-  std::thread watchdog([&clock, &scenario_done] {
-    const auto started = std::chrono::steady_clock::now();
+  // It only reads the clock's progress counters, so determinism is
+  // unaffected, and the end of the scenario wakes it at once.
+  std::mutex watchdog_mutex;
+  std::condition_variable watchdog_cv;
+  bool scenario_done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(watchdog_mutex);
+    auto next_check = std::chrono::steady_clock::now() + std::chrono::seconds(20);
     std::int64_t last_virtual = -1;
     std::uint64_t last_switches = 0;
-    while (!scenario_done.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      if (std::chrono::steady_clock::now() - started < std::chrono::seconds(20)) {
-        continue;
-      }
+    while (!watchdog_cv.wait_until(lock, next_check, [&] { return scenario_done; })) {
       const std::int64_t virtual_now = clock->now_ns();
       const std::uint64_t switches = clock->switches();
       if (virtual_now == last_virtual && switches == last_switches) {
@@ -690,14 +531,36 @@ ScenarioResult run_scenario(const Scenario& scenario) {
       }
       last_virtual = virtual_now;
       last_switches = switches;
+      next_check = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
     }
   });
 
   util::set_global_clock(clock.get());
   clock->register_driver();
   {
-    DstStack stack(scenario, clock);
-    stack.start();
+    // The shipped stack over the scenario's virtual transport and synthetic
+    // source. Its threads are clock participants; none runs before the
+    // driver first yields, so the set-up below is part of the trajectory.
+    const auto transport = std::make_shared<VirtualTransport>(clock, transport_config(scenario));
+    const auto source =
+        std::make_shared<SimDataSource>(scenario.item_count, scenario.item_bytes, scenario.seed);
+    core::Backend backend(backend_config(scenario), transport, source);
+    std::vector<dms::DataProxy*> proxies;
+    for (int index = 0; index < scenario.workers; ++index) {
+      dms::DataProxy& proxy = backend.worker_proxy(index);
+      if (scenario.prefetcher != "null") {
+        proxy.configure_prefetcher(
+            scenario.prefetcher,
+            core::make_block_successor(proxy.resolver(), scenario.item_count,
+                                       /*step_count=*/1, /*wrap_steps=*/false));
+      }
+      proxies.push_back(&proxy);
+    }
+    std::vector<std::shared_ptr<comm::ClientLink>> clients;
+    for (int index = 0; index < std::max(1, scenario.clients); ++index) {
+      clients.push_back(backend.connect());
+    }
+    core::Scheduler& scheduler = backend.scheduler();
 
     std::map<std::uint64_t, RequestState> states;
     for (std::size_t i = 0; i < scenario.requests.size(); ++i) {
@@ -829,7 +692,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     // Route each request through its client's link (clamped so hand-built
     // scenarios with out-of-range client indices still run).
     const auto client_of = [&](const DstRequest& spec) {
-      const int bound = static_cast<int>(stack.client_count());
+      const int bound = static_cast<int>(clients.size());
       return static_cast<std::size_t>(std::clamp(spec.client, 0, bound - 1));
     };
 
@@ -851,9 +714,9 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     }
     bool kill_snapshot_done = false;
     std::uint64_t fallback_at_kill = 0;
-    auto sum_fallback_disk = [&stack] {
+    auto sum_fallback_disk = [&proxies] {
       std::uint64_t total_fallbacks = 0;
-      for (auto& proxy : stack.proxies()) {
+      for (auto* proxy : proxies) {
         total_fallbacks += proxy->stats().snapshot().peer_fallback_disk;
       }
       return total_fallbacks;
@@ -863,7 +726,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
       for (std::size_t b = 0; b < scenario.bumps.size(); ++b) {
         if (!bump_done[b] &&
             now - start_ns >= static_cast<std::int64_t>(scenario.bumps[b]) * 1000000) {
-          stack.bump_data_version();
+          backend.data_server().names().bump_data_version();
           ++driver_version;
           bump_done[b] = true;
           last_progress = now;
@@ -887,7 +750,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
           cancel.source = 0;
           cancel.tag = core::kTagCancel;
           cancel.payload.write<std::uint64_t>(static_cast<std::uint64_t>(i + 1));
-          stack.client(client_of(spec)).send(std::move(cancel));
+          clients[client_of(spec)]->send(std::move(cancel));
           state.cancel_sent = true;
           last_progress = now;
         }
@@ -916,13 +779,13 @@ ScenarioResult run_scenario(const Scenario& scenario) {
         msg.source = 0;
         msg.tag = core::kTagSubmit;
         request.serialize(msg.payload);
-        stack.client(client_of(spec)).send(std::move(msg));
+        clients[client_of(spec)]->send(std::move(msg));
         state.submitted = true;
         state.version_at_submit = driver_version;
         last_progress = now;
       }
-      for (std::size_t link = 0; link < stack.client_count(); ++link) {
-        while (auto msg = stack.client(link).recv(std::chrono::milliseconds(0))) {
+      for (auto& client : clients) {
+        while (auto msg = client->recv(std::chrono::milliseconds(0))) {
           handle(*msg);
           last_progress = clock->now_ns();
         }
@@ -944,22 +807,20 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     if (!stalled) {
       const std::int64_t settle_deadline = clock->now_ns() + stall_ns;
       auto settled = [&] {
-        return stack.scheduler().free_workers() + stack.scheduler().lost_workers() ==
+        return scheduler.free_workers() + scheduler.lost_workers() ==
                    static_cast<std::size_t>(scenario.workers) &&
-               stack.scheduler().active_groups() == 0 &&
-               stack.scheduler().queued_requests() == 0;
+               scheduler.active_groups() == 0 && scheduler.queued_requests() == 0;
       };
       while (!settled() && clock->now_ns() < settle_deadline) {
         util::clock_sleep(std::chrono::milliseconds(5));
       }
       if (!settled()) {
-        note_violation(
-            "conservation: pool did not settle (free=" +
-            std::to_string(stack.scheduler().free_workers()) +
-            " lost=" + std::to_string(stack.scheduler().lost_workers()) +
-            " of " + std::to_string(scenario.workers) +
-            ", groups=" + std::to_string(stack.scheduler().active_groups()) +
-            ", queued=" + std::to_string(stack.scheduler().queued_requests()) + ")");
+        note_violation("conservation: pool did not settle (free=" +
+                       std::to_string(scheduler.free_workers()) +
+                       " lost=" + std::to_string(scheduler.lost_workers()) + " of " +
+                       std::to_string(scenario.workers) +
+                       ", groups=" + std::to_string(scheduler.active_groups()) +
+                       ", queued=" + std::to_string(scheduler.queued_requests()) + ")");
       }
     }
 
@@ -967,8 +828,8 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     // often a ready head was bypassed (kFairShare; trivially 0 under
     // kFifo). Rejection integrity: an admission-refused request must never
     // have produced data.
-    result.backfills = stack.scheduler().total_backfills();
-    result.max_head_bypass_seen = stack.scheduler().max_head_bypass_observed();
+    result.backfills = scheduler.total_backfills();
+    result.max_head_bypass_seen = scheduler.max_head_bypass_observed();
     if (result.max_head_bypass_seen > scenario.head_bypass) {
       note_violation("starvation: a queue head was bypassed " +
                      std::to_string(result.max_head_bypass_seen) +
@@ -1020,12 +881,12 @@ ScenarioResult run_scenario(const Scenario& scenario) {
 
     // Cache accounting, after draining the prefetch pipelines in virtual
     // time so no load is mid-flight.
-    for (auto& proxy : stack.proxies()) {
+    for (auto* proxy : proxies) {
       proxy->quiesce();
     }
 
     // Sharded-DMS aggregates (zero when shards=1: the counters never move).
-    for (auto& proxy : stack.proxies()) {
+    for (auto* proxy : proxies) {
       const auto counters = proxy->stats().snapshot();
       result.peer_fetches += counters.peer_fetches;
       result.peer_pushes += counters.peer_pushes;
@@ -1043,7 +904,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     // id. A corrupting serialization bug or a wrong-item reply shows up
     // here no matter which rank answered.
     if (scenario.shards > 1) {
-      for (auto& proxy : stack.proxies()) {
+      for (auto* proxy : proxies) {
         const std::string tag = "replica(proxy " + std::to_string(proxy->id()) + "): ";
         const auto& l1 = proxy->cache().l1();
         for (const dms::ItemId id : l1.resident()) {
@@ -1051,14 +912,14 @@ ScenarioResult run_scenario(const Scenario& scenario) {
           if (!blob) {
             continue;  // the byte-accounting oracle already flags this
           }
-          const auto name = stack.server().names().lookup(id);
+          const auto name = backend.data_server().names().lookup(id);
           if (!name) {
             note_violation(tag + "resident item " + std::to_string(id) +
                            " has no name-service entry");
             continue;
           }
           const int block = static_cast<int>(name->params.get_int("block", -1));
-          const util::ByteBuffer want = stack.sim_source().expected(block);
+          const util::ByteBuffer want = source->expected(block);
           if (!(*blob == want)) {
             note_violation(tag + "item " + std::to_string(id) + " (block " +
                            std::to_string(block) + ") bytes diverge from the source: " +
@@ -1079,8 +940,8 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     // (SimDataSource::size_of).
     if (scenario.pipeline_threads > 0 && scenario.pipeline_window > 0) {
       const std::int64_t drain_deadline = clock->now_ns() + stall_ns;
-      auto async_drained = [&stack] {
-        for (auto& proxy : stack.proxies()) {
+      auto async_drained = [&proxies] {
+        for (auto* proxy : proxies) {
           const auto counters = proxy->stats().snapshot();
           if (counters.async_submitted != counters.async_settled) {
             return false;
@@ -1096,7 +957,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
       const std::uint64_t inflight_bound =
           static_cast<std::uint64_t>(scenario.pipeline_window + scenario.pipeline_threads) *
           max_item_bytes;
-      for (auto& proxy : stack.proxies()) {
+      for (auto* proxy : proxies) {
         const auto counters = proxy->stats().snapshot();
         const std::string tag = "async(proxy " + std::to_string(proxy->id()) + "): ";
         if (counters.async_submitted != counters.async_settled) {
@@ -1111,7 +972,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
         }
       }
     }
-    for (auto& proxy : stack.proxies()) {
+    for (auto* proxy : proxies) {
       const auto counters = proxy->stats().snapshot();
       const std::string tag = "cache(proxy " + std::to_string(proxy->id()) + "): ";
       if (counters.requests != counters.l1_hits + counters.l2_hits + counters.misses) {
@@ -1163,18 +1024,22 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     // Finalize the deterministic trajectory before teardown: joins leave
     // the machine and race the OS, so everything after this point is
     // excluded from the replay contract.
-    result.trajectory_hash = stack.transport().trajectory_hash();
-    result.transport_events = stack.transport().event_count();
+    result.trajectory_hash = transport->trajectory_hash();
+    result.transport_events = transport->event_count();
     result.context_switches = clock->switches();
     result.virtual_end_ns = clock->now_ns();
-    result.faults = stack.transport().stats();
-    result.ranks_killed = stack.transport().dead_count();
+    result.faults = transport->stats();
+    result.ranks_killed = transport->dead_count();
 
-    stack.stop();
+    backend.shutdown();
   }
   clock->unregister_driver();
   util::set_global_clock(nullptr);
-  scenario_done.store(true);
+  {
+    std::lock_guard<std::mutex> lock(watchdog_mutex);
+    scenario_done = true;
+  }
+  watchdog_cv.notify_one();
   watchdog.join();
   return result;
 }

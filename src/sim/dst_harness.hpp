@@ -1,10 +1,13 @@
 #pragma once
 
 /// \file dst_harness.hpp
-/// Deterministic simulation-testing harness: runs the *real* scheduler /
-/// worker / DMS stack (no models) under sim::VirtualClock +
-/// sim::VirtualTransport against a seeded Scenario, and checks invariant
-/// oracles over the outcome (DESIGN.md "Testing strategy").
+/// Deterministic simulation-testing harness: runs the shipped
+/// core::Backend (scheduler, workers, DMS, client links from connect(); no
+/// models) under sim::VirtualClock against a seeded Scenario, with a
+/// sim::VirtualTransport and a synthetic data source injected, and checks
+/// invariant oracles over the outcome (DESIGN.md "Testing strategy"). The
+/// scenario maps onto a BackendConfig; sharded scenarios run the shard
+/// ring Backend builds.
 ///
 /// Oracles:
 ///   1. exactly-once — no duplicated (request, partition, sequence)
@@ -130,8 +133,8 @@ struct Scenario {
   /// the first min(shards, workers) proxies by consistent hashing and
   /// routes misses proxy→proxy; repl >= 2 replicates each block across
   /// that many owners so kills compose with peer transfer (the replica-
-  /// failover scenarios). The default (1, 1) is the legacy central path —
-  /// trajectories of pre-shard scenario strings are unchanged.
+  /// failover scenarios). The default (1, 1) is the central path, which
+  /// scenario strings without these keys parse to.
   int shards = 1;
   int repl = 1;
 

@@ -25,4 +25,13 @@ void set_global_clock(Clock* clock) noexcept {
   global_slot().store(clock, std::memory_order_release);
 }
 
+std::thread spawn_thread(std::string name, std::function<void()> body) {
+  global_clock().announce_thread(name);
+  return std::thread([name = std::move(name), body = std::move(body)] {
+    global_clock().thread_begin(name);
+    body();
+    global_clock().thread_end();
+  });
+}
+
 }  // namespace vira::util

@@ -17,7 +17,7 @@
 /// name); thread_begin()/thread_end() bracket the spawned thread's body;
 /// join_thread() replaces a raw std::thread::join() so a cooperative clock
 /// can release its scheduling token while really blocking. All four are
-/// no-ops on RealClock.
+/// no-ops on RealClock. spawn_thread() does the first three in order.
 ///
 /// Blocking waits go through the same seam: wait_until()/notify() are a
 /// condition variable in real time, and a cooperative clock parks the
@@ -27,6 +27,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -97,6 +98,12 @@ Clock& global_clock() noexcept;
 void set_global_clock(Clock* clock) noexcept;
 
 inline std::chrono::steady_clock::time_point clock_now() { return global_clock().now(); }
+
+/// Runs `body` on a new thread that takes part in the global clock's
+/// schedule as `name` (unique per process): announced before the thread
+/// exists, begun and ended around `body`. Join it with
+/// global_clock().join_thread().
+std::thread spawn_thread(std::string name, std::function<void()> body);
 
 template <typename Rep, typename Period>
 inline void clock_sleep(std::chrono::duration<Rep, Period> duration) {

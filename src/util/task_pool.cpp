@@ -19,15 +19,7 @@ TaskPool::TaskPool(int threads, std::string name)
     : name_(name.empty() ? default_pool_name() : std::move(name)) {
   threads_.reserve(threads > 0 ? static_cast<std::size_t>(threads) : 0);
   for (int i = 0; i < threads; ++i) {
-    const std::string thread_name = name_ + "." + std::to_string(i);
-    // Announce from the spawning thread so a cooperative clock reserves the
-    // schedule slot deterministically before the std::thread exists.
-    global_clock().announce_thread(thread_name);
-    threads_.emplace_back([this, thread_name] {
-      global_clock().thread_begin(thread_name);
-      worker_loop();
-      global_clock().thread_end();
-    });
+    threads_.push_back(spawn_thread(name_ + "." + std::to_string(i), [this] { worker_loop(); }));
   }
 }
 

@@ -22,8 +22,7 @@ class CommandsTest : public ::testing::Test {
   static void SetUpTestSuite() {
     va::register_builtin_commands();
     dataset_ = (std::filesystem::temp_directory_path() / "vira_commands_engine").string();
-    if (!std::filesystem::exists(dataset_ + "/dataset.vmi")) {
-      std::filesystem::remove_all(dataset_);
+    vg::ensure_dataset(dataset_, [] {
       vg::GeneratorConfig config;
       config.directory = dataset_;
       config.timesteps = 4;
@@ -31,7 +30,7 @@ class CommandsTest : public ::testing::Test {
       config.nj = 8;
       config.nk = 6;
       vg::generate_engine(config);
-    }
+    });
   }
 
   static std::unique_ptr<vc::Backend> make_backend(int workers) {

@@ -38,8 +38,12 @@ class EchoCommand final : public vc::Command {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
 
-    // Touch a dataset block if requested (exercises the DMS path).
+    // Ask for the dataset's metadata (only a .vmb source answers) and touch
+    // a dataset block (exercises the DMS path) if requested.
     const auto dataset = params.get_or("dataset", "");
+    if (params.get_bool("meta", false)) {
+      (void)context.dataset_meta(dataset);
+    }
     if (!dataset.empty()) {
       context.phases().enter(vc::kPhaseRead);
       const auto blob = context.proxy().request(vira::dms::block_item(dataset, 0, 0));
@@ -68,6 +72,25 @@ struct RegisterCommands {
   }
 };
 RegisterCommands register_commands;  // NOLINT
+
+/// A DMS source that is not a .vmb dataset: every item is the same 8 bytes.
+class ConstantSource final : public vira::dms::DataSource {
+ public:
+  vu::ByteBuffer load(const vira::dms::DataItemName& /*name*/) override {
+    vu::ByteBuffer bytes;
+    bytes.write<std::uint64_t>(42);
+    return bytes;
+  }
+  std::uint64_t item_bytes(const vira::dms::DataItemName& /*name*/) const override { return 8; }
+  std::uint64_t file_bytes(const vira::dms::DataItemName& /*name*/) const override { return 8; }
+  std::string file_key(const vira::dms::DataItemName& name) const override {
+    return name.canonical();
+  }
+  std::vector<std::pair<vira::dms::DataItemName, vu::ByteBuffer>> load_file(
+      const vira::dms::DataItemName& name) override {
+    return {{name, load(name)}};
+  }
+};
 
 std::string make_dataset() {
   static std::string dir;
@@ -296,6 +319,54 @@ TEST(Backend, PhaseBreakdownIsReported) {
   EXPECT_TRUE(stats.success);
   EXPECT_GT(stats.phase_seconds.count(vc::kPhaseCompute), 0u);
   EXPECT_GT(stats.phase_seconds.count(vc::kPhaseRead), 0u);
+}
+
+TEST(Backend, DataVersionBumpTurnsTheNextRepeatIntoARecompute) {
+  // The result cache keys on the data server's dataset version whichever
+  // way the proxies reach that server.
+  for (const bool over_messages : {false, true}) {
+    SCOPED_TRACE(over_messages ? "dms_over_messages" : "direct DMS calls");
+    vc::BackendConfig config;
+    config.workers = 1;
+    config.dms_over_messages = over_messages;
+    config.scheduler.result_cache.enabled = true;
+    vc::Backend backend(config);
+    vira::viz::ExtractionSession session(backend.connect());
+
+    vu::ParamList params;
+    params.set("text", "versioned");
+    EXPECT_FALSE(session.submit("test.echo", params)->wait().cache_hit);
+    EXPECT_TRUE(session.submit("test.echo", params)->wait().cache_hit);
+    backend.data_server().names().bump_data_version();
+    const auto stats = session.submit("test.echo", params)->wait();
+    EXPECT_TRUE(stats.success) << stats.error;
+    EXPECT_FALSE(stats.cache_hit);
+    EXPECT_EQ(stats.data_version, 2u);
+  }
+}
+
+TEST(Backend, InjectedSourceServesLoadsButNoDatasetMetadata) {
+  vc::BackendConfig config;
+  config.workers = 1;
+  vc::Backend backend(config, nullptr, std::make_shared<ConstantSource>());
+  vira::viz::ExtractionSession session(backend.connect());
+
+  vu::ParamList params;
+  params.set("dataset", "constant");
+  EXPECT_TRUE(session.submit("test.echo", params)->wait().success);
+  EXPECT_EQ(backend.dms_counters().misses, 1u);
+
+  params.set_bool("meta", true);
+  const auto stats = session.submit("test.echo", params)->wait();
+  EXPECT_FALSE(stats.success);
+  EXPECT_NE(stats.error.find(".vmb data source"), std::string::npos) << stats.error;
+}
+
+TEST(Backend, RejectsATransportWithoutARankPerWorker) {
+  vc::BackendConfig config;
+  config.workers = 2;
+  EXPECT_THROW(vc::Backend(config, std::make_shared<vira::comm::InProcTransport>(2)),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,7 +75,8 @@ TEST(VirtualClockTest, TimersFireInDueThenRegistrationOrder) {
 // each test below pins the virtual time at which a wait returns.
 
 /// Installs a VirtualClock as the global clock, the test thread its driver.
-/// Join every participant (clock.join_thread) before this goes out of scope.
+/// Participants start with util::spawn_thread; join every one
+/// (clock->join_thread) before this goes out of scope.
 class GlobalVirtualClock {
  public:
   GlobalVirtualClock() : clock_(std::make_shared<sim::VirtualClock>()) {
@@ -94,16 +94,6 @@ class GlobalVirtualClock {
   sim::VirtualClock* operator->() { return clock_.get(); }
   const std::shared_ptr<sim::VirtualClock>& shared() { return clock_; }
 
-  /// Runs `body` on an announced participant thread named `name`.
-  std::thread spawn(const std::string& name, std::function<void()> body) {
-    clock_->announce_thread(name);
-    return std::thread([this, name, body = std::move(body)] {
-      clock_->thread_begin(name);
-      body();
-      clock_->thread_end();
-    });
-  }
-
  private:
   std::shared_ptr<sim::VirtualClock> clock_;
 };
@@ -117,7 +107,7 @@ TEST(VirtualClockTest, ConditionWaitWakesAtTheNotifyInstant) {
   bool ready = false;
   bool satisfied = false;
   std::int64_t woke_at = -1;
-  std::thread waiter = clock.spawn("waiter", [&] {
+  std::thread waiter = util::spawn_thread("waiter", [&] {
     std::unique_lock<std::mutex> lock(mutex);
     satisfied = cv.wait_until(lock, util::clock_deadline(std::chrono::milliseconds(100)),
                               [&] { return ready; });
@@ -142,7 +132,7 @@ TEST(VirtualClockTest, ConditionWaitExpiresExactlyAtItsDeadline) {
   bool timed_result = true;
   std::int64_t timed_at = -1;
   std::int64_t untimed_at = -1;
-  std::thread timed = clock.spawn("timed", [&] {
+  std::thread timed = util::spawn_thread("timed", [&] {
     std::unique_lock<std::mutex> lock(mutex);
     timed_result = cv.wait_until(lock, util::clock_deadline(std::chrono::milliseconds(7)),
                                  [] { return false; });
@@ -150,7 +140,7 @@ TEST(VirtualClockTest, ConditionWaitExpiresExactlyAtItsDeadline) {
   });
   // An untimed wait never pulls virtual time forward: only the notify below
   // ends it, after the driver's own 20 ms sleep.
-  std::thread untimed = clock.spawn("untimed", [&] {
+  std::thread untimed = util::spawn_thread("untimed", [&] {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return released; });
     untimed_at = clock->now_ns();
@@ -179,11 +169,11 @@ TEST(DstEventWaitTest, MessagePumpedBySiblingReachesItsAddresseeAtDelivery) {
   comm::Communicator sender(transport, 0);
   comm::Communicator receiver(transport, 1);
 
-  std::thread sibling = clock.spawn("sibling", [&] {
+  std::thread sibling = util::spawn_thread("sibling", [&] {
     EXPECT_FALSE(receiver.try_recv(comm::kAnySource, 99, std::chrono::milliseconds(50)));
   });
   std::int64_t received_at = -1;
-  std::thread addressee = clock.spawn("addressee", [&] {
+  std::thread addressee = util::spawn_thread("addressee", [&] {
     if (receiver.try_recv(0, 7, std::chrono::milliseconds(40))) {
       received_at = clock->now_ns();
     }
@@ -241,6 +231,27 @@ TEST(DstEventWaitTest, DemandJoinsTheInFlightPrefetchAndWakesWhenItLands) {
   EXPECT_EQ(counters.inflight_waits, 1u);
   EXPECT_EQ(counters.prefetch_issued, 2u);
   EXPECT_EQ(counters.prefetch_useful, 1u);
+}
+
+TEST(DstEventWaitTest, ClientSendWakesTheSchedulerAtOnce) {
+  // Backend::connect() links ring the scheduler's nudger on every send, so
+  // a request submitted at 7 ms is dispatched, run (it takes no virtual
+  // time) and answered at 7 ms, and the driver reads the answer at its
+  // next 1 ms poll. A scheduler that waited out its idle_poll slice first
+  // would answer a poll later.
+  sim::Scenario scenario;
+  scenario.seed = 5;
+  scenario.workers = 1;
+  sim::DstRequest request;
+  request.width = 1;
+  request.partials = 1;
+  request.submit_at_ms = 7;
+  scenario.requests.push_back(request);
+
+  const auto result = sim::run_scenario(scenario);
+  EXPECT_TRUE(result.ok()) << (result.violations.empty() ? "" : result.violations.front());
+  EXPECT_TRUE(result.terminals.at(1).success);
+  EXPECT_EQ(result.terminals.at(1).at_ns, 8 * kMs);
 }
 
 // --- Scenario encoding -------------------------------------------------------

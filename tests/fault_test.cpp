@@ -137,8 +137,7 @@ class FaultRecoveryTest : public ::testing::Test {
   static void SetUpTestSuite() {
     va::register_builtin_commands();
     dataset_ = (std::filesystem::temp_directory_path() / "vira_fault_ds").string();
-    if (!std::filesystem::exists(dataset_ + "/dataset.vmi")) {
-      std::filesystem::remove_all(dataset_);
+    vg::ensure_dataset(dataset_, [] {
       vg::GeneratorConfig config;
       config.directory = dataset_;
       config.timesteps = 2;
@@ -146,7 +145,7 @@ class FaultRecoveryTest : public ::testing::Test {
       config.nj = 8;
       config.nk = 6;
       vg::generate_engine(config);
-    }
+    });
     vg::DatasetReader reader(dataset_);
     float lo = 1e30f;
     float hi = -1e30f;
@@ -177,6 +176,13 @@ class FaultRecoveryTest : public ::testing::Test {
     config.scheduler.retry_backoff = std::chrono::milliseconds(5);
     config.scheduler.max_retries = 3;
     return config;
+  }
+
+  /// A fault injector over the in-process rank transport `config` needs.
+  static std::shared_ptr<vm::FaultInjectingTransport> injector_for(
+      const vc::BackendConfig& config, const vm::FaultInjectionConfig& faults) {
+    return std::make_shared<vm::FaultInjectingTransport>(
+        std::make_shared<vm::InProcTransport>(config.workers + 1), faults);
   }
 
   static std::string dataset_;
@@ -230,9 +236,8 @@ TEST_F(FaultRecoveryTest, WorkerKilledMidRequestStillCompletesExactlyOnce) {
   config.read_delay_us_per_mb = 3e6;
   vm::FaultInjectionConfig faults;  // no random faults — only the kill switch
   faults.seed = 42;
-  config.fault_injection = faults;
-  vc::Backend backend(config);
-  ASSERT_NE(backend.fault_transport(), nullptr);
+  auto injector = injector_for(config, faults);
+  vc::Backend backend(config, injector);
 
   vv::ExtractionSession session(backend.connect());
   auto params = iso_params(3);
@@ -244,7 +249,7 @@ TEST_F(FaultRecoveryTest, WorkerKilledMidRequestStillCompletesExactlyOnce) {
   std::set<FragmentKey> seen;
   const auto stats = drain_exactly_once(*stream, &seen, [&] {
     // The first work group is ranks {1, 2, 3}; rank 3 dies mid-request.
-    backend.fault_transport()->kill_rank(3);
+    injector->kill_rank(3);
     killed = true;
   });
 
@@ -275,15 +280,16 @@ TEST_F(FaultRecoveryTest, ZeroFaultRatesChangeNothing) {
   auto run = [this](bool with_injector) {
     vc::BackendConfig config;
     config.workers = 2;
+    std::shared_ptr<vm::FaultInjectingTransport> injector;
     if (with_injector) {
       vm::FaultInjectionConfig faults;  // all rates zero
       // The property must hold for ANY seed; draw it from the printed
       // master seed so a failing run is reproducible from the log line
       // (VIRA_TEST_SEED=<printed>).
       faults.seed = vira::test::test_seed(0xfa17);
-      config.fault_injection = faults;
+      injector = injector_for(config, faults);
     }
-    vc::Backend backend(config);
+    vc::Backend backend(config, injector);
     vv::ExtractionSession session(backend.connect());
     std::vector<vu::ByteBuffer> fragments;
     const auto stats = session.submit("iso.dataman", iso_params(2))->wait(&fragments);
@@ -291,18 +297,13 @@ TEST_F(FaultRecoveryTest, ZeroFaultRatesChangeNothing) {
     EXPECT_EQ(stats.retries, 0u);
     EXPECT_FALSE(stats.degraded());
     EXPECT_EQ(backend.scheduler().lost_workers(), 0u);
-    if (with_injector) {
-      EXPECT_NE(backend.fault_transport(), nullptr);
-      if (backend.fault_transport() != nullptr) {
-        const auto fstats = backend.fault_transport()->stats();
-        EXPECT_GT(fstats.forwarded, 0u);
-        EXPECT_EQ(fstats.dropped, 0u);
-        EXPECT_EQ(fstats.duplicated, 0u);
-        EXPECT_EQ(fstats.delayed, 0u);
-        EXPECT_EQ(fstats.suppressed_dead, 0u);
-      }
-    } else {
-      EXPECT_EQ(backend.fault_transport(), nullptr);
+    if (injector) {
+      const auto fstats = injector->stats();
+      EXPECT_GT(fstats.forwarded, 0u);
+      EXPECT_EQ(fstats.dropped, 0u);
+      EXPECT_EQ(fstats.duplicated, 0u);
+      EXPECT_EQ(fstats.delayed, 0u);
+      EXPECT_EQ(fstats.suppressed_dead, 0u);
     }
     return fragments.size();
   };
@@ -323,8 +324,8 @@ TEST_F(FaultRecoveryTest, LossyTransportNeverHangsTheClient) {
   faults.duplicate_rate = 0.05;
   faults.delay_rate = 0.2;
   faults.max_delay = std::chrono::milliseconds(3);
-  config.fault_injection = faults;
-  vc::Backend backend(config);
+  auto injector = injector_for(config, faults);
+  vc::Backend backend(config, injector);
 
   vv::ExtractionSession session(backend.connect());
   for (int round = 0; round < 3; ++round) {
@@ -338,7 +339,7 @@ TEST_F(FaultRecoveryTest, LossyTransportNeverHangsTheClient) {
       EXPECT_FALSE(stats.error.empty());
     }
   }
-  const auto fstats = backend.fault_transport()->stats();
+  const auto fstats = injector->stats();
   EXPECT_GT(fstats.forwarded, 0u);
 }
 

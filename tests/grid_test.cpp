@@ -431,6 +431,30 @@ TEST(DatasetIo, ReaderRejectsMissingDirectory) {
   EXPECT_THROW(vg::DatasetReader("/nonexistent/vira/dir"), std::runtime_error);
 }
 
+TEST(DatasetIo, EnsureDatasetRegeneratesOnlyAnUnreadableCache) {
+  const auto dir = temp_dir("ensure");
+  int generated = 0;
+  const auto generate = [&] {
+    ++generated;
+    vg::generate_box(dir, vg::UniformFlow({1, 0, 0}), 1, 3, 3, 3, {0, 0, 0}, {1, 1, 1}, 0.1, 2);
+  };
+  EXPECT_EQ(vg::ensure_dataset(dir, generate).block_count(), 2);  // missing
+  EXPECT_EQ(vg::ensure_dataset(dir, generate).block_count(), 2);  // readable: kept
+  EXPECT_EQ(generated, 1);
+
+  // An index another format version wrote does not parse: regenerated.
+  vira::util::ByteBuffer foreign;
+  foreign.write<std::uint32_t>(0xdeadbeef);
+  vg::write_file(dir + "/dataset.vmi", foreign);
+  EXPECT_EQ(vg::ensure_dataset(dir, generate).block_count(), 2);
+  EXPECT_EQ(generated, 2);
+
+  // A generator that leaves nothing readable is an error, tried once.
+  EXPECT_THROW(vg::ensure_dataset(dir + "_empty", [&] { ++generated; }), std::runtime_error);
+  EXPECT_EQ(generated, 3);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DatasetIo, WriterEnforcesProtocol) {
   const auto dir = temp_dir("protocol");
   vg::DatasetWriter writer(dir, "X");

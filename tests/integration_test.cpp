@@ -37,8 +37,7 @@ class IntegrationTest : public ::testing::Test {
     vc::CommandRegistry::global().register_command(
         "test.sleep", [] { return std::make_unique<SleepCommand>(); });
     dataset_ = (std::filesystem::temp_directory_path() / "vira_integration_ds").string();
-    if (!std::filesystem::exists(dataset_ + "/dataset.vmi")) {
-      std::filesystem::remove_all(dataset_);
+    vg::ensure_dataset(dataset_, [] {
       vg::GeneratorConfig config;
       config.directory = dataset_;
       config.timesteps = 5;
@@ -46,7 +45,7 @@ class IntegrationTest : public ::testing::Test {
       config.nj = 8;
       config.nk = 6;
       vg::generate_engine(config);
-    }
+    });
     vg::DatasetReader reader(dataset_);
     float lo = 1e30f;
     float hi = -1e30f;

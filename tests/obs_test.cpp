@@ -249,8 +249,7 @@ class ObsBackendTest : public ::testing::Test {
   static void SetUpTestSuite() {
     va::register_builtin_commands();
     dataset_ = (std::filesystem::temp_directory_path() / "vira_obs_ds").string();
-    if (!std::filesystem::exists(dataset_ + "/dataset.vmi")) {
-      std::filesystem::remove_all(dataset_);
+    vg::ensure_dataset(dataset_, [] {
       vg::GeneratorConfig config;
       config.directory = dataset_;
       config.timesteps = 2;
@@ -258,7 +257,7 @@ class ObsBackendTest : public ::testing::Test {
       config.nj = 8;
       config.nk = 6;
       vg::generate_engine(config);
-    }
+    });
     vg::DatasetReader reader(dataset_);
     float lo = 1e30f;
     float hi = -1e30f;
@@ -379,9 +378,10 @@ TEST_F(ObsBackendTest, KilledRankLeavesRetryVisibleInTraceAndMetrics) {
     config.scheduler.retry_backoff = std::chrono::milliseconds(5);
     config.scheduler.max_retries = 3;
     config.read_delay_us_per_mb = 3e6;
-    config.fault_injection = vm::FaultInjectionConfig{};  // kill switch only
-    vc::Backend backend(config);
-    ASSERT_NE(backend.fault_transport(), nullptr);
+    auto injector = std::make_shared<vm::FaultInjectingTransport>(
+        std::make_shared<vm::InProcTransport>(config.workers + 1),
+        vm::FaultInjectionConfig{});  // kill switch only
+    vc::Backend backend(config, injector);
 
     vv::ExtractionSession session(backend.connect());
     auto params = iso_params(3);
@@ -400,7 +400,7 @@ TEST_F(ObsBackendTest, KilledRankLeavesRetryVisibleInTraceAndMetrics) {
       } else if ((packet->kind == vv::Packet::Kind::kPartial ||
                   packet->kind == vv::Packet::Kind::kFinal) &&
                  !killed) {
-        backend.fault_transport()->kill_rank(3);
+        injector->kill_rank(3);
         killed = true;
       }
     }

@@ -16,8 +16,7 @@ class ReplayTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dir_ = (std::filesystem::temp_directory_path() / "vira_perf_engine").string();
-    if (!std::filesystem::exists(dir_ + "/dataset.vmi")) {
-      std::filesystem::remove_all(dir_);
+    vg::ensure_dataset(dir_, [] {
       vg::GeneratorConfig config;
       config.directory = dir_;
       config.timesteps = 6;
@@ -25,7 +24,7 @@ class ReplayTest : public ::testing::Test {
       config.nj = 9;
       config.nk = 7;
       vg::generate_engine(config);
-    }
+    });
     reader_ = std::make_unique<vg::DatasetReader>(dir_);
     const double iso = vp::density_iso_mid(*reader_);
     iso_profile_ = vp::profile_iso(*reader_, 0, "density", static_cast<float>(iso), 128);

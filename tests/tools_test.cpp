@@ -27,8 +27,7 @@ std::string dataset_dir() {
   static std::string dir;
   if (dir.empty()) {
     dir = (std::filesystem::temp_directory_path() / "vira_tools_ds").string();
-    if (!std::filesystem::exists(dir + "/dataset.vmi")) {
-      std::filesystem::remove_all(dir);
+    vira::grid::ensure_dataset(dir, [&] {
       vira::grid::GeneratorConfig config;
       config.directory = dir;
       config.timesteps = 2;
@@ -36,7 +35,7 @@ std::string dataset_dir() {
       config.nj = 7;
       config.nk = 6;
       vira::grid::generate_engine(config);
-    }
+    });
   }
   return dir;
 }

@@ -23,7 +23,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,21 +47,18 @@ void usage() {
                "                     [key=value ...]\n");
 }
 
-/// Generates the small synthetic Engine dataset at `dir` unless one is
-/// already there (same fixture recipe the test-suite uses).
+/// Generates the small synthetic Engine dataset at `dir` unless a readable
+/// one is already there (same fixture recipe the test-suite uses).
 void ensure_synthetic_dataset(const std::string& dir) {
-  namespace fs = std::filesystem;
-  if (fs::exists(fs::path(dir) / "dataset.vmi")) {
-    return;
-  }
-  fs::remove_all(dir);
-  vira::grid::GeneratorConfig config;
-  config.directory = dir;
-  config.timesteps = 2;
-  config.ni = 9;
-  config.nj = 7;
-  config.nk = 6;
-  vira::grid::generate_engine(config);
+  vira::grid::ensure_dataset(dir, [&] {
+    vira::grid::GeneratorConfig config;
+    config.directory = dir;
+    config.timesteps = 2;
+    config.ni = 9;
+    config.nj = 7;
+    config.nk = 6;
+    vira::grid::generate_engine(config);
+  });
 }
 
 /// Mid-range "density" iso value for a dataset — a level that always cuts
