@@ -138,7 +138,8 @@ const char* slot_command(int slot) {
 
 void write_json(const char* path, int clients, int requests, const char* frontend,
                 const SwarmStats& stats, double wall_seconds, std::uint64_t bytes_sent,
-                std::uint64_t dropped, std::uint64_t reaped) {
+                std::uint64_t dropped, std::uint64_t reaped, std::uint64_t retries,
+                std::uint64_t lost_workers) {
   std::ofstream out(path);
   char line[1024];
   std::snprintf(
@@ -158,7 +159,9 @@ void write_json(const char* path, int clients, int requests, const char* fronten
       "  \"cache_hits\": %llu,\n"
       "  \"wire_bytes_sent\": %llu,\n"
       "  \"backpressure_drops\": %llu,\n"
-      "  \"links_reaped\": %llu\n"
+      "  \"links_reaped\": %llu,\n"
+      "  \"retries\": %llu,\n"
+      "  \"lost_workers\": %llu\n"
       "}\n",
       frontend, clients, requests, stats.failures, percentile(stats.connect_ms, 0.50),
       percentile(stats.connect_ms, 0.99), percentile(stats.request_ms, 0.50),
@@ -167,7 +170,8 @@ void write_json(const char* path, int clients, int requests, const char* fronten
       static_cast<double>(stats.result_bytes) / (1024.0 * 1024.0) / wall_seconds,
       static_cast<unsigned long long>(stats.cache_hits),
       static_cast<unsigned long long>(bytes_sent),
-      static_cast<unsigned long long>(dropped), static_cast<unsigned long long>(reaped));
+      static_cast<unsigned long long>(dropped), static_cast<unsigned long long>(reaped),
+      static_cast<unsigned long long>(retries), static_cast<unsigned long long>(lost_workers));
   out << line;
 }
 
@@ -212,12 +216,6 @@ int main(int argc, char** argv) {
   core::BackendConfig config;
   config.workers = 4;
   config.scheduler.result_cache.enabled = true;
-  // The swarm saturates the scheduler's message queue (on CI-class machines
-  // by minutes), so heartbeats are processed long after dispatch — the
-  // liveness machinery then misreads the lag as lost execute orders and
-  // retry-storms. The bench measures the net frontend, not the failure
-  // model; run with liveness off like the other saturation benches.
-  config.scheduler.liveness = false;
   core::Backend backend(config);
   const std::uint16_t port = inproc ? 0 : backend.serve_tcp(0);
 
@@ -302,6 +300,8 @@ int main(int argc, char** argv) {
   const auto bytes_sent = obs::Registry::instance().counter("net.bytes_sent").value();
   const auto dropped = backend.event_loop() ? backend.event_loop()->dropped_frames() : 0;
   const auto reaped = backend.event_loop() ? backend.event_loop()->reaped() : 0;
+  const std::uint64_t retries = backend.scheduler().total_retries();
+  const std::uint64_t lost_workers = backend.scheduler().lost_workers();
   backend.shutdown();
 
   std::printf("\n  %-28s %12.2f\n", "connect p50, ms", percentile(total.connect_ms, 0.50));
@@ -322,13 +322,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dropped));
   std::printf("  %-28s %12llu\n", "links reaped",
               static_cast<unsigned long long>(reaped));
+  std::printf("  %-28s %12llu\n", "scheduler retries",
+              static_cast<unsigned long long>(retries));
+  std::printf("  %-28s %12llu\n", "workers lost",
+              static_cast<unsigned long long>(lost_workers));
 
   write_json("BENCH_swarm.json", clients, requests, frontend_name, total,
-             wall_seconds, bytes_sent, dropped, reaped);
+             wall_seconds, bytes_sent, dropped, reaped, retries, lost_workers);
   std::printf("  wrote BENCH_swarm.json\n");
   perf::print_expectation(
       "zero failed connects/requests; zero drops and reaps (no link wedged); "
-      "cache hits served");
+      "no retry and no worker declared dead under saturation; cache hits served");
 
   bool ok = true;
   ok = ok && total.failures == 0;
@@ -337,6 +341,9 @@ int main(int argc, char** argv) {
   // The acceptance gate: a slow or stuck peer must never surface here —
   // every link healthy, nothing dropped, nothing reaped.
   ok = ok && dropped == 0 && reaped == 0;
+  // Liveness stays on: a saturated scheduler must not misread heartbeat lag
+  // as a lost order or a dead worker.
+  ok = ok && retries == 0 && lost_workers == 0;
   ok = ok && total.cache_hits > 0;
   std::printf("\n  shape check: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

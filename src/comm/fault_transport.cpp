@@ -23,6 +23,15 @@ FaultMetrics& fault_metrics() {
   static FaultMetrics* instruments = new FaultMetrics();
   return *instruments;
 }
+
+std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
 }  // namespace
 
 FaultInjectingTransport::FaultInjectingTransport(std::shared_ptr<Transport> inner,
@@ -35,30 +44,64 @@ FaultInjectingTransport::FaultInjectingTransport(std::shared_ptr<Transport> inne
       config_.duplicate_rate > 1.0 || config_.delay_rate < 0.0 || config_.delay_rate > 1.0) {
     throw std::invalid_argument("FaultInjectingTransport: rates must be in [0, 1]");
   }
-}
-
-FaultInjectingTransport::~FaultInjectingTransport() {
-  stopping_ = true;
-  delay_cv_.notify_all();
-  if (delay_thread_.joinable()) {
-    delay_thread_.join();
+  if (config_.delay_rate > 0.0) {
+    delay_thread_ = util::spawn_thread("fault.delay", [this] { delay_loop(); });
   }
 }
 
+FaultInjectingTransport::~FaultInjectingTransport() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  delay_cv_.notify_all();
+  if (delay_thread_.joinable()) {
+    util::global_clock().join_thread(delay_thread_);
+  }
+}
+
+bool FaultInjectingTransport::reachable_locked(int source, int dest) {
+  if (dead_.count(dest) == 0 && dead_.count(source) == 0) {
+    return true;
+  }
+  ++stats_.suppressed_dead;
+  fault_metrics().suppressed_dead.add();
+  return false;
+}
+
+void FaultInjectingTransport::record_locked(char kind, int a, int b, int tag,
+                                            const util::ByteBuffer& payload) {
+  ++events_;
+  const std::int64_t fields[] = {
+      kind,
+      std::chrono::duration_cast<std::chrono::nanoseconds>(util::clock_now().time_since_epoch())
+          .count(),
+      a,
+      b,
+      tag,
+      static_cast<std::int64_t>(payload.size())};
+  hash_ = fnv1a(hash_, fields, sizeof(fields));
+  hash_ = fnv1a(hash_, payload.data(), payload.size());
+}
+
 void FaultInjectingTransport::send(int dest, Message msg) {
+  if (dest < 0 || dest >= size()) {
+    // Checked here, not by the inner send: a delayed message would throw on
+    // the delay thread instead of at the caller.
+    throw std::out_of_range("FaultInjectingTransport::send: bad destination endpoint");
+  }
   bool duplicate = false;
   std::chrono::milliseconds delay{0};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (dead_.count(dest) > 0 || dead_.count(msg.source) > 0) {
-      ++stats_.suppressed_dead;
-      fault_metrics().suppressed_dead.add();
+    if (!reachable_locked(msg.source, dest)) {
       return;
     }
     if (faults_possible()) {
       if (config_.drop_rate > 0.0 && rng_.next_double() < config_.drop_rate) {
         ++stats_.dropped;
         fault_metrics().dropped.add();
+        record_locked('D', msg.source, dest, msg.tag, msg.payload);
         return;
       }
       if (config_.duplicate_rate > 0.0 && rng_.next_double() < config_.duplicate_rate) {
@@ -75,20 +118,26 @@ void FaultInjectingTransport::send(int dest, Message msg) {
       }
     }
     ++stats_.forwarded;
-  }
-  if (duplicate) {
-    Message copy = msg;
     if (delay.count() > 0) {
-      deliver_later(dest, std::move(copy), delay);
+      const auto due = util::clock_now() + delay;
+      if (duplicate) {
+        delayed_.emplace(due, std::make_pair(dest, msg));
+      }
+      delayed_.emplace(due, std::make_pair(dest, std::move(msg)));
     } else {
-      inner_->send(dest, std::move(copy));
+      for (int copy = duplicate ? 2 : 1; copy > 0; --copy) {
+        record_locked('d', msg.source, dest, msg.tag, msg.payload);
+      }
     }
   }
   if (delay.count() > 0) {
-    deliver_later(dest, std::move(msg), delay);
-  } else {
-    inner_->send(dest, std::move(msg));
+    delay_cv_.notify_one();
+    return;
   }
+  if (duplicate) {
+    inner_->send(dest, msg);
+  }
+  inner_->send(dest, std::move(msg));
 }
 
 std::optional<Message> FaultInjectingTransport::recv(int self, std::chrono::milliseconds timeout) {
@@ -97,18 +146,22 @@ std::optional<Message> FaultInjectingTransport::recv(int self, std::chrono::mill
     return std::nullopt;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (dead_.count(self) > 0 || dead_.count(msg->source) > 0) {
-    // A crashed rank reads nothing; mail from a crashed rank (queued before
-    // the crash) is discarded, like an undelivered socket buffer.
-    ++stats_.suppressed_dead;
-    fault_metrics().suppressed_dead.add();
+  // A crashed rank reads nothing; mail from a crashed rank (queued before
+  // the crash) is discarded, like an undelivered socket buffer.
+  if (!reachable_locked(msg->source, self)) {
     return std::nullopt;
   }
   return msg;
 }
 
 void FaultInjectingTransport::shutdown() {
-  stopping_ = true;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!stopping_) {
+      stopping_ = true;
+      record_locked('X', -1, -1, 0, util::ByteBuffer());
+    }
+  }
   delay_cv_.notify_all();
   inner_->shutdown();
 }
@@ -119,7 +172,10 @@ void FaultInjectingTransport::kill_rank(int rank) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    dead_.insert(rank);
+    if (!dead_.insert(rank).second) {
+      return;
+    }
+    record_locked('K', rank, -1, 0, util::ByteBuffer());
   }
   fault_metrics().killed.add();
   VIRA_WARN("fault") << "rank " << rank << " killed (delivery suppressed)";
@@ -140,54 +196,40 @@ FaultInjectionStats FaultInjectingTransport::stats() const {
   return stats_;
 }
 
-void FaultInjectingTransport::deliver_later(int dest, Message msg,
-                                            std::chrono::milliseconds delay) {
-  {
-    std::lock_guard<std::mutex> lock(delay_mutex_);
-    delayed_.push_back({std::chrono::steady_clock::now() + delay, dest, std::move(msg)});
-    if (!delay_thread_running_.exchange(true)) {
-      delay_thread_ = std::thread([this] { delay_loop(); });
-    }
-  }
-  delay_cv_.notify_one();
+std::uint64_t FaultInjectingTransport::trajectory_hash() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return hash_;
+}
+
+std::uint64_t FaultInjectingTransport::event_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return events_;
 }
 
 void FaultInjectingTransport::delay_loop() {
-  std::unique_lock<std::mutex> lock(delay_mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_) {
     if (delayed_.empty()) {
       delay_cv_.wait(lock, [&] { return stopping_ || !delayed_.empty(); });
       continue;
     }
-    auto earliest = std::min_element(
-        delayed_.begin(), delayed_.end(),
-        [](const Delayed& a, const Delayed& b) { return a.due < b.due; });
-    const auto now = std::chrono::steady_clock::now();
-    if (earliest->due > now) {
-      // Copy the deadline: wait_until releases the lock, and a concurrent
-      // deliver_later() push_back may reallocate delayed_ under us —
-      // wait_until re-reads its deadline argument after re-locking.
-      const auto due = earliest->due;
-      delay_cv_.wait_until(lock, due);
+    // Sleep until the earliest due time, or until a send queues an earlier
+    // one (only this thread removes entries, so begin() stays valid).
+    const auto due = delayed_.begin()->first;
+    if (delay_cv_.wait_until(lock, due,
+                             [&] { return stopping_ || delayed_.begin()->first < due; })) {
       continue;
     }
-    Delayed item = std::move(*earliest);
-    delayed_.erase(earliest);
+    auto item = delayed_.extract(delayed_.begin());
+    auto& [dest, msg] = item.mapped();
+    // The destination (or sender) may have been killed while the message
+    // was in flight.
+    if (!reachable_locked(msg.source, dest)) {
+      continue;
+    }
+    record_locked('d', msg.source, dest, msg.tag, msg.payload);
     lock.unlock();
-    // Re-check the death list at delivery time: the destination (or sender)
-    // may have been killed while the message was in flight.
-    bool suppressed = false;
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      if (dead_.count(item.dest) > 0 || dead_.count(item.msg.source) > 0) {
-        ++stats_.suppressed_dead;
-        fault_metrics().suppressed_dead.add();
-        suppressed = true;
-      }
-    }
-    if (!suppressed && !inner_->is_shut_down()) {
-      inner_->send(item.dest, std::move(item.msg));
-    }
+    inner_->send(dest, std::move(msg));
     lock.lock();
   }
 }

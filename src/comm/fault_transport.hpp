@@ -18,17 +18,26 @@
 /// pass-through — zero behavior change — so the same test suite can run
 /// with and without faults. All methods are thread-safe (the wrapped
 /// Transport already must be).
+///
+/// Time goes through the util::Clock seam: the delay thread starts with
+/// util::spawn_thread and waits on a util::ClockCondition, so under
+/// sim::VirtualClock a message delayed d ms arrives exactly d virtual ms
+/// after its send, and messages due at the same instant arrive in send
+/// order. Every delivery, drop and kill, and the shutdown, folds into an
+/// FNV-1a trajectory hash; under a virtual clock two runs of one seeded
+/// scenario must produce the same hash (the DST determinism check).
 
-#include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "comm/transport.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 
 namespace vira::comm {
@@ -72,33 +81,38 @@ class FaultInjectingTransport final : public Transport {
 
   FaultInjectionStats stats() const;
 
+  /// FNV-1a over every transport event so far: (kind, clock time, source,
+  /// dest, tag, payload). Read it at a quiescent point (under DST, with the
+  /// driver holding the token) for a stable per-scenario value.
+  std::uint64_t trajectory_hash() const;
+  std::uint64_t event_count() const;
+
  private:
   bool faults_possible() const {
     return config_.drop_rate > 0.0 || config_.duplicate_rate > 0.0 || config_.delay_rate > 0.0;
   }
-  void deliver_later(int dest, Message msg, std::chrono::milliseconds delay);
+  /// True iff neither end of a message from `source` to `dest` is dead;
+  /// counts the suppression otherwise.
+  bool reachable_locked(int source, int dest);
+  void record_locked(char kind, int a, int b, int tag, const util::ByteBuffer& payload);
   void delay_loop();
 
   std::shared_ptr<Transport> inner_;
   FaultInjectionConfig config_;
 
-  mutable std::mutex mutex_;  ///< guards rng_, dead_, stats_
+  mutable std::mutex mutex_;  ///< guards everything below
   util::Rng rng_;
   std::set<int> dead_;
   FaultInjectionStats stats_;
+  std::uint64_t hash_ = 14695981039346656037ull;  ///< FNV-1a offset basis
+  std::uint64_t events_ = 0;
 
-  /// Delayed-delivery machinery (started lazily on the first delay).
-  struct Delayed {
-    std::chrono::steady_clock::time_point due;
-    int dest;
-    Message msg;
-  };
-  std::mutex delay_mutex_;
-  std::condition_variable delay_cv_;
-  std::vector<Delayed> delayed_;  ///< unsorted; the loop scans for the earliest
+  /// Delayed messages by due time; equal due times keep send order. The
+  /// delay thread runs only when delay_rate > 0.
+  std::multimap<util::Clock::TimePoint, std::pair<int, Message>> delayed_;
+  util::ClockCondition delay_cv_;
+  bool stopping_ = false;
   std::thread delay_thread_;
-  std::atomic<bool> delay_thread_running_{false};
-  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace vira::comm

@@ -11,7 +11,8 @@
 /// and, for the client link, the framed stream in `client_link.hpp`.
 /// Decorators may weaken the guarantees deliberately: FaultInjectingTransport
 /// (fault_transport.hpp) drops/delays/duplicates messages and crashes ranks
-/// to exercise the runtime's failure model (DESIGN.md "Failure model").
+/// to exercise the runtime's failure model (DESIGN.md "Failure model"), in
+/// real time and, over the same InProcTransport, under DST's virtual clock.
 
 #include <chrono>
 #include <memory>

@@ -75,8 +75,8 @@ struct BackendConfig {
 class Backend {
  public:
   /// `transport` carries the rank traffic and must have workers + 1
-  /// endpoints; the default is an InProcTransport. Fault tests pass a
-  /// comm::FaultInjectingTransport over one, DST its VirtualTransport.
+  /// endpoints; the default is an InProcTransport. Fault tests and DST
+  /// pass a comm::FaultInjectingTransport over one.
   /// `source` serves the DMS loads; the default is a VmbDataSource, the
   /// only source that answers commands' dataset-metadata queries. Threads
   /// start and join through the util::Clock thread hooks, so the whole

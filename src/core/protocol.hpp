@@ -145,6 +145,9 @@ struct WorkerReport {
   bool success = true;
   std::string error;
   std::map<std::string, double> phase_seconds;
+  /// Fragments this rank streamed (its final sequence): the scheduler
+  /// finishes a group only once it has forwarded every one of them.
+  std::uint32_t fragments = 0;
 
   void serialize(util::ByteBuffer& out) const {
     out.write<std::uint64_t>(request_id);
@@ -156,6 +159,7 @@ struct WorkerReport {
       out.write_string(phase);
       out.write<double>(seconds);
     }
+    out.write<std::uint32_t>(fragments);
   }
   static WorkerReport deserialize(util::ByteBuffer& in) {
     WorkerReport report;
@@ -168,6 +172,7 @@ struct WorkerReport {
       std::string phase = in.read_string();
       report.phase_seconds[phase] = in.read<double>();
     }
+    report.fragments = in.read<std::uint32_t>();
     return report;
   }
 };

@@ -48,9 +48,8 @@ obs::Gauge& client_wait_gauge(std::size_t client) {
 /// the high half, per-partition sequence in the low half. Partition indices
 /// survive work-group re-formation (see FragmentHeader), so this key makes
 /// retried deliveries — and transport-level duplicates — idempotent.
-std::uint64_t fragment_key(const FragmentHeader& header) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(header.partition)) << 32) |
-         header.sequence;
+std::uint64_t fragment_key(std::int32_t partition, std::uint32_t sequence) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(partition)) << 32) | sequence;
 }
 }  // namespace
 
@@ -246,8 +245,15 @@ bool Scheduler::poll_clients() {
           if (group_it != groups_.end()) {
             // Workers are not interrupted mid-block; we simply stop
             // forwarding (paper Sec. 5: meaningless extractions "can be
-            // discarded immediately" from the client's perspective).
-            group_it->second.cancelled = true;
+            // discarded immediately" from the client's perspective). The
+            // cut stream then completes as a failure, never as a success
+            // with fragments missing.
+            Group& group = group_it->second;
+            group.cancelled = true;
+            group.failed = true;
+            if (group.error.empty()) {
+              group.error = "request cancelled";
+            }
           }
         } else {
           for (auto qit = pending_.begin(); qit != pending_.end(); ++qit) {
@@ -355,7 +361,9 @@ void Scheduler::handle_stream(comm::Message& msg, bool final) {
   // previous attempt already delivered, and a faulty transport may duplicate
   // messages outright. (partition, sequence) identifies a fragment across
   // attempts; the set travels with the request through retries.
-  if (config_.fragment_dedup && !group.seen_fragments.insert(fragment_key(header)).second) {
+  const bool fresh =
+      group.seen_fragments.insert(fragment_key(header.partition, header.sequence)).second;
+  if (config_.fragment_dedup && !fresh) {
     return;
   }
   if (group.first_packet_seconds < 0.0) {
@@ -393,6 +401,10 @@ void Scheduler::handle_stream(comm::Message& msg, bool final) {
   }
   send_to_client(group.client, final ? kTagFinal : kTagPartial, std::move(msg.payload),
                  client_request, send_span.context().span_id);
+  // A fragment its sender's done report overtook may be the last one due.
+  if (group_complete(group)) {
+    finish_group(header.request_id);
+  }
 }
 
 void Scheduler::handle_done(comm::Message& msg) {
@@ -409,7 +421,15 @@ void Scheduler::handle_done(comm::Message& msg) {
     return;
   }
   Group& group = it->second;
-  group.done_ranks.insert(report.rank);
+  if (!dead_.count(report.rank)) {
+    free_.insert(report.rank);
+  }
+  if (!group.done_ranks.insert(report.rank).second) {
+    return;  // a duplicated report counts once
+  }
+  const auto slot = std::find(group.ranks.begin(), group.ranks.end(), report.rank);
+  group.announced[static_cast<std::int32_t>(slot - group.ranks.begin())] = report.fragments;
+  group.last_report_at = util::clock_now();
   if (!report.success) {
     group.failed = true;
     if (group.error.empty()) {
@@ -419,12 +439,26 @@ void Scheduler::handle_done(comm::Message& msg) {
   for (const auto& [phase, seconds] : report.phase_seconds) {
     group.phase_seconds[phase] += seconds;
   }
-  if (!dead_.count(report.rank)) {
-    free_.insert(report.rank);
-  }
-  if (--group.pending == 0) {
+  if (group_complete(group)) {
     finish_group(report.request_id);
   }
+}
+
+bool Scheduler::group_complete(const Group& group) const {
+  if (group.done_ranks.size() < group.ranks.size()) {
+    return false;
+  }
+  if (group.failed || group.cancelled) {
+    return true;
+  }
+  for (const auto& [partition, count] : group.announced) {
+    for (std::uint32_t sequence = 0; sequence < count; ++sequence) {
+      if (group.seen_fragments.count(fragment_key(partition, sequence)) == 0) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void Scheduler::handle_error(comm::Message& msg) {
@@ -450,9 +484,6 @@ void Scheduler::handle_progress(comm::Message& msg) {
 }
 
 void Scheduler::check_liveness() {
-  if (!config_.liveness) {
-    return;
-  }
   const auto now = util::clock_now();
 
   // (1) Rank death: nothing heard for death_timeout. Heartbeats flow every
@@ -520,11 +551,16 @@ void Scheduler::check_liveness() {
   }
 
   // (3) Per-group health. A group is unrecoverable in place when a member
-  // is dead, or when a member's recent heartbeats name a different request
-  // (its execute order or its done report was lost in transit).
+  // is dead, when a member's recent heartbeats name a different request
+  // (its execute order or its done report was lost in transit), or when
+  // fragments its members announced never arrived (lost in transit).
   std::vector<std::pair<std::uint64_t, std::string>> to_recover;
   for (auto& [internal_id, group] : groups_) {
     std::string reason;
+    if (group.done_ranks.size() == group.ranks.size() &&
+        now - group.last_report_at > config_.idle_grace) {
+      reason = "fragments missing after every member reported done";
+    }
     for (const int rank : group.ranks) {
       if (group.done_ranks.count(rank)) {
         continue;
@@ -1158,7 +1194,6 @@ void Scheduler::start_group(PendingRequest entry) {
     it = free_.erase(it);
   }
   group.master = group.ranks.front();
-  group.pending = static_cast<int>(group.ranks.size());
   group.timer.restart();
   group.dispatched_at = util::clock_now();
 

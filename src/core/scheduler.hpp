@@ -29,7 +29,10 @@
 /// the scheduler aborts the surviving members, re-forms the work group at
 /// the same width and re-dispatches with bounded retries and exponential
 /// backoff. Fragments already forwarded to the client are deduplicated by
-/// (partition, sequence), so retried delivery stays exactly-once.
+/// (partition, sequence), so retried delivery stays exactly-once. Done
+/// reports carry each member's fragment count, and a group finishes only
+/// once every announced fragment was forwarded; one still missing
+/// fragments `idle_grace` after its last report is re-formed too.
 
 #include <atomic>
 #include <cstring>
@@ -65,15 +68,14 @@ enum class SchedPolicy {
 
 /// Liveness / recovery / QoS policy knobs.
 struct SchedulerConfig {
-  /// Master switch; false restores the seed's fail-stop behavior exactly.
-  bool liveness = true;
   /// No message (heartbeat or otherwise) from a rank for this long →
   /// the rank is declared dead and permanently removed from the pool.
   std::chrono::milliseconds death_timeout{2000};
   /// A member whose heartbeats — arriving this long after dispatch — name a
   /// different request has lost its execute order (or its done report was
   /// lost); the group is re-formed. Also the grace before believing such a
-  /// mismatch.
+  /// mismatch, and how long a group whose members all reported done waits
+  /// for fragments they announced before it is re-formed.
   std::chrono::milliseconds idle_grace{500};
   /// Work-group re-formations per request before giving up.
   int max_retries = 2;
@@ -86,7 +88,8 @@ struct SchedulerConfig {
   std::chrono::milliseconds request_timeout{0};
   /// Exactly-once fragment forwarding (dedup by (partition, sequence)).
   /// Diagnostic switch: the DST harness disables it to prove its
-  /// exactly-once oracle catches the resulting duplicate deliveries.
+  /// exactly-once oracle catches the resulting duplicate deliveries. The
+  /// completeness bookkeeping runs either way.
   bool fragment_dedup = true;
   /// Longest the scheduler loop sleeps when idle (the poll slice for both
   /// client links and worker traffic). With the event-loop frontend wired
@@ -217,7 +220,6 @@ class Scheduler {
     int master = -1;
     int width = 0;
     int requested_workers = 0;  ///< pre-clamp/pre-mold width (see CommandStats)
-    int pending = 0;  ///< workers that have not reported done yet
     int attempt = 0;
     bool failed = false;
     std::string error;
@@ -230,8 +232,12 @@ class Scheduler {
     std::uint64_t partial_packets = 0;
     std::uint64_t result_bytes = 0;
     std::map<std::string, double> phase_seconds;
-    std::set<int> done_ranks;
-    std::set<std::uint64_t> seen_fragments;
+    std::set<int> done_ranks;  ///< members whose done report arrived
+    /// partition -> fragment count from its done report. The group finishes
+    /// once every announced (partition, sequence) is in seen_fragments.
+    std::map<std::int32_t, std::uint32_t> announced;
+    Clock::time_point last_report_at{};
+    std::set<std::uint64_t> seen_fragments;  ///< forwarded, this and earlier attempts
     /// Result-cache capture: every deduplicated fragment forwarded to the
     /// client is copied here (first attempt only); finish_group admits the
     /// sequence under cache_key if the stream ended fully successful.
@@ -272,6 +278,9 @@ class Scheduler {
   void recover_group(std::uint64_t internal_id, const std::string& reason);
   void fail_pending(PendingRequest& entry, const std::string& reason);
   void start_group(PendingRequest entry);
+  /// True once every member reported done and, unless the attempt failed
+  /// or was cancelled, every fragment they announced was forwarded.
+  bool group_complete(const Group& group) const;
   void finish_group(std::uint64_t request_id);
   /// `trace_request`/`trace_span` annotate the message so a deferred-write
   /// link (the event-loop frontend) can open a "net.send" span under the

@@ -42,6 +42,7 @@ void Worker::run() {
   try {
     // Receive only control tags: anything else (e.g. a DMS reply destined
     // for the proxy's prefetch thread) stays buffered for its addressee.
+    std::uint64_t last_started = 0;
     while (true) {
       auto msg = comm_->try_recv(comm::kAnySource, {kTagShutdown, kTagExecute},
                                  std::chrono::milliseconds(50));
@@ -51,7 +52,15 @@ void Worker::run() {
       if (msg->tag == kTagShutdown) {
         break;
       }
-      execute_order(ExecuteOrder::deserialize(msg->payload));
+      ExecuteOrder order = ExecuteOrder::deserialize(msg->payload);
+      // Internal ids only grow, and a rank gets a new order only after its
+      // previous one ended or was abandoned: an id not above the last one
+      // started is a duplicated or late copy of finished work.
+      if (order.request_id <= last_started) {
+        continue;
+      }
+      last_started = order.request_id;
+      execute_order(std::move(order));
     }
   } catch (const comm::TransportClosed&) {
     // Orderly teardown path.
@@ -203,6 +212,7 @@ void Worker::execute_order(ExecuteOrder order) {
                          << " failed: " << e.what();
   }
   report.phase_seconds = context.phases().phases();
+  report.fragments = sequence;
   current_request_.store(0);
   phase_span->end();
   if (exec_span.active()) {

@@ -8,13 +8,6 @@ namespace vira::sim {
 
 thread_local VirtualClock::Participant* VirtualClock::tls_self_ = nullptr;
 
-namespace {
-bool timer_later(const VirtualClock::Nanos due_a, const std::uint64_t seq_a,
-                 const VirtualClock::Nanos due_b, const std::uint64_t seq_b) {
-  return due_a != due_b ? due_a > due_b : seq_a > seq_b;
-}
-}  // namespace
-
 void VirtualClock::grant_locked(Participant* p) {
   token_held_ = true;
   p->granted = true;
@@ -38,15 +31,11 @@ void VirtualClock::schedule_next_locked() {
       grant_locked(next);
       return;
     }
-    // Nothing runnable: advance virtual time to the earliest pending event
-    // (timer or parked deadline). If there is none the machine idles — the
-    // remaining participants are outside (join_thread) or finished.
+    // Nothing runnable: advance virtual time to the earliest parked
+    // deadline. If there is none the machine idles — the remaining
+    // participants are outside (join_thread) or finished.
     bool have_due = false;
     Nanos due = 0;
-    if (!timers_.empty()) {
-      due = timers_.front().due;
-      have_due = true;
-    }
     for (const Participant* p : waiting_) {
       if (p->deadline == kNever) {
         continue;  // only a wake ends this park
@@ -63,17 +52,7 @@ void VirtualClock::schedule_next_locked() {
       now_ns_.store(due, std::memory_order_relaxed);
     }
     const Nanos now = now_ns_.load(std::memory_order_relaxed);
-    // Fire due timers first (message deliveries before timeout wake-ups at
-    // the same instant), in (due, seq) registration order.
-    while (!timers_.empty() && timers_.front().due <= now) {
-      std::pop_heap(timers_.begin(), timers_.end(), [](const Timer& a, const Timer& b) {
-        return timer_later(a.due, a.seq, b.due, b.seq);
-      });
-      Timer fired = std::move(timers_.back());
-      timers_.pop_back();
-      fired.fn();
-    }
-    // Then release parked participants whose deadlines passed, ordered by
+    // Release parked participants whose deadlines passed, ordered by
     // (deadline, wait_seq) so equal deadlines resume in park order.
     std::vector<Participant*> due_waiters;
     for (Participant* p : waiting_) {
@@ -90,8 +69,6 @@ void VirtualClock::schedule_next_locked() {
       p->waiting = false;
       ready_.push_back(p);
     }
-    // Loop: a timer may have woken nobody; keep advancing until someone is
-    // runnable or no events remain.
   }
 }
 
@@ -101,7 +78,6 @@ void VirtualClock::block_self_locked(std::unique_lock<std::mutex>& lock, Nanos d
     throw std::logic_error("VirtualClock: blocking call from a non-participant thread");
   }
   self->waiting = true;
-  self->signaled = false;
   self->deadline = deadline_ns;
   self->wait_seq = next_seq_++;
   waiting_.push_back(self);
@@ -114,11 +90,6 @@ void VirtualClock::sleep_for(std::chrono::nanoseconds duration) {
   auto lock = acquire();
   const Nanos delta = std::max<Nanos>(duration.count(), 0);
   block_self_locked(lock, now_ns_.load(std::memory_order_relaxed) + delta);
-}
-
-void VirtualClock::wait_for_signal_locked(std::unique_lock<std::mutex>& lock,
-                                          Nanos deadline_ns) {
-  block_self_locked(lock, deadline_ns);
 }
 
 void VirtualClock::wait_until(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
@@ -174,15 +145,7 @@ void VirtualClock::wake_locked(Participant* p) {
   }
   waiting_.erase(std::remove(waiting_.begin(), waiting_.end(), p), waiting_.end());
   p->waiting = false;
-  p->signaled = true;
   ready_.push_back(p);
-}
-
-void VirtualClock::add_timer_locked(Nanos due, std::function<void()> fn) {
-  timers_.push_back(Timer{due, next_seq_++, std::move(fn)});
-  std::push_heap(timers_.begin(), timers_.end(), [](const Timer& a, const Timer& b) {
-    return timer_later(a.due, a.seq, b.due, b.seq);
-  });
 }
 
 void VirtualClock::announce_thread(const std::string& name) {
@@ -255,7 +218,7 @@ void VirtualClock::join_thread(std::thread& thread) {
 void VirtualClock::dump_state(std::ostream& out) {
   auto lock = acquire();
   out << "VirtualClock: now=" << now_ns_.load() / 1000000 << "ms token_held=" << token_held_
-      << " switches=" << switches_.load() << " timers=" << timers_.size() << "\n";
+      << " switches=" << switches_.load() << "\n";
   for (const auto& [name, p] : participants_) {
     out << "  " << name << ": ";
     if (p->finished) {

@@ -7,10 +7,10 @@
 /// nondeterministic is the OS scheduler and the wall clock. VirtualClock
 /// removes both: it implements util::Clock with a *token machine* — exactly
 /// one participant thread holds the run token at any instant, every
-/// blocking point in the product (clock_sleep, util::ClockCondition and
-/// transport waits) releases the token, and virtual time advances only
-/// when nothing is runnable, by
-/// jumping to the earliest pending deadline or timer. The schedule is a
+/// blocking point in the product (clock_sleep and util::ClockCondition
+/// waits, which carry the mailbox and the fault transport's delays)
+/// releases the token, and virtual time advances only when nothing is
+/// runnable, by jumping to the earliest parked deadline. The schedule is a
 /// pure function of the participants' behavior, so a seeded scenario
 /// replays bit-identically — and months of virtual heartbeat/death-timeout
 /// time elapse in milliseconds of real time.
@@ -36,7 +36,6 @@
 #include <iosfwd>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -61,7 +60,6 @@ class VirtualClock final : public util::Clock {
     std::condition_variable cv;
     bool granted = false;   ///< token offered; predicate for cv waits
     bool waiting = false;   ///< parked in waiting_ with a deadline
-    bool signaled = false;  ///< woken by wake_locked (vs deadline expiry)
     bool finished = false;
     Nanos deadline = 0;
     std::uint64_t wait_seq = 0;  ///< tie-break for equal deadlines (FIFO)
@@ -101,39 +99,24 @@ class VirtualClock final : public util::Clock {
   /// Ends the driver's participation (same as thread_end()).
   void unregister_driver();
 
-  /// --- machine API for VirtualTransport ------------------------------------
-  /// All _locked members require the lock returned by acquire().
-  std::unique_lock<std::mutex> acquire() { return std::unique_lock<std::mutex>(mutex_); }
+  /// Virtual time in nanoseconds since the machine started.
   Nanos now_ns() const { return now_ns_.load(std::memory_order_relaxed); }
-  /// The calling thread's participant (nullptr outside the machine).
-  Participant* self() const { return tls_self_; }
-  /// Runs `fn` (under the machine lock) when virtual time reaches `due`.
-  /// Timers at the same instant fire in registration order, before any
-  /// deadline-expired participant resumes.
-  void add_timer_locked(Nanos due, std::function<void()> fn);
-  /// Parks the calling participant until wake_locked() or `deadline_ns`,
-  /// releasing the token meanwhile; returns with the token re-held.
-  void wait_for_signal_locked(std::unique_lock<std::mutex>& lock, Nanos deadline_ns);
-  /// Moves a parked participant to the ready queue (FIFO). No-op if it is
-  /// not currently parked.
-  void wake_locked(Participant* p);
 
   /// Token hand-offs so far (diagnostic; deterministic per scenario).
   std::uint64_t switches() const { return switches_.load(std::memory_order_relaxed); }
 
-  /// Dumps participant/timer state to `out` — the post-mortem for a machine
+  /// Dumps participant state to `out` — the post-mortem for a machine
   /// that stopped making progress. Safe to call from a non-participant
   /// thread (takes the machine lock; the token holder is only ever blocked
   /// on product-level mutexes, never this one, while it runs).
   void dump_state(std::ostream& out);
 
  private:
-  struct Timer {
-    Nanos due;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-
+  /// All _locked members require the lock returned by acquire().
+  std::unique_lock<std::mutex> acquire() { return std::unique_lock<std::mutex>(mutex_); }
+  /// Moves a parked participant to the ready queue (FIFO). No-op if it is
+  /// not currently parked.
+  void wake_locked(Participant* p);
   void grant_locked(Participant* p);
   void release_token_locked();
   void block_self_locked(std::unique_lock<std::mutex>& lock, Nanos deadline_ns);
@@ -152,8 +135,6 @@ class VirtualClock final : public util::Clock {
   std::deque<Participant*> ready_;
   /// Parked participants with deadlines (unordered; scanned on advance).
   std::vector<Participant*> waiting_;
-  /// Min-heap by (due, seq) via heap algorithms on a vector.
-  std::vector<Timer> timers_;
 
   /// Ordered by name so per-scenario iteration (if ever needed) is
   /// deterministic; owns the Participant storage.

@@ -219,19 +219,14 @@ struct RegisterDstWork {
 };
 RegisterDstWork register_dst_work;  // NOLINT
 
-/// The scenario's fault schedule on a virtual transport with one rank for
-/// the scheduler and one per worker.
-VirtualTransport::Config transport_config(const Scenario& s) {
-  VirtualTransport::Config config;
-  config.size = s.workers + 1;
-  config.faults.seed = s.seed ^ 0xd57f417a5eedull;
-  config.faults.drop_rate = s.drop_rate;
-  config.faults.duplicate_rate = s.duplicate_rate;
-  config.faults.delay_rate = s.delay_rate;
-  config.faults.max_delay = std::chrono::milliseconds(s.max_delay_ms);
-  for (const auto& [ms, rank] : s.kills) {
-    config.kills.emplace_back(std::chrono::milliseconds(ms), rank);
-  }
+/// The scenario's message faults; its kills are driver events.
+comm::FaultInjectionConfig fault_config(const Scenario& s) {
+  comm::FaultInjectionConfig config;
+  config.seed = s.seed ^ 0xd57f417a5eedull;
+  config.drop_rate = s.drop_rate;
+  config.duplicate_rate = s.duplicate_rate;
+  config.delay_rate = s.delay_rate;
+  config.max_delay = std::chrono::milliseconds(s.max_delay_ms);
   return config;
 }
 
@@ -284,6 +279,8 @@ struct RequestState {
   bool error_seen = false;
   std::uint32_t retries = 0;
   std::set<std::pair<std::int32_t, std::uint32_t>> fragments;  ///< (partition, sequence)
+  int partials = 0;  ///< distinct kTagPartial fragments accepted
+  int finals = 0;    ///< distinct kTagFinal fragments accepted
   bool duplicate_reported = false;
   /// Result-cache oracle state: the dataset version current at submission,
   /// whether the completion was served from the cache, and the delivered
@@ -538,10 +535,12 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   util::set_global_clock(clock.get());
   clock->register_driver();
   {
-    // The shipped stack over the scenario's virtual transport and synthetic
-    // source. Its threads are clock participants; none runs before the
-    // driver first yields, so the set-up below is part of the trajectory.
-    const auto transport = std::make_shared<VirtualTransport>(clock, transport_config(scenario));
+    // The shipped stack over the shipped fault decorator (one rank for the
+    // scheduler and one per worker) and a synthetic source. Its threads are
+    // clock participants; none runs before the driver first yields, so the
+    // set-up below is part of the trajectory.
+    const auto transport = std::make_shared<comm::FaultInjectingTransport>(
+        std::make_shared<comm::InProcTransport>(scenario.workers + 1), fault_config(scenario));
     const auto source =
         std::make_shared<SimDataSource>(scenario.item_count, scenario.item_bytes, scenario.seed);
     core::Backend backend(backend_config(scenario), transport, source);
@@ -587,6 +586,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
             // is already its own (exactly-once) violation.
             state.frag_seq.push_back(
                 fragment_hash(header, msg.tag == core::kTagFinal, msg.payload));
+            ++(msg.tag == core::kTagFinal ? state.finals : state.partials);
           } else if (!state.duplicate_reported) {
             state.duplicate_reported = true;
             note_violation("exactly-once: request " + std::to_string(header.request_id) +
@@ -704,15 +704,12 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     std::vector<bool> bump_done(scenario.bumps.size(), false);
     std::uint64_t driver_version = 1;
     bool stalled = false;
+    // Rank kills fire from this loop too, each at its virtual instant.
     // Post-kill fallback accounting: snapshot the disk-fallback total once
     // the last scheduled kill has fired; the delta to the end of the run is
     // what replica coverage failed to absorb (peer_fallback_disk_after_kill).
-    int last_kill_ms = -1;
-    for (const auto& [kill_ms, kill_rank] : scenario.kills) {
-      (void)kill_rank;
-      last_kill_ms = std::max(last_kill_ms, kill_ms);
-    }
-    bool kill_snapshot_done = false;
+    std::vector<bool> kill_done(scenario.kills.size(), false);
+    std::size_t kills_fired = 0;
     std::uint64_t fallback_at_kill = 0;
     auto sum_fallback_disk = [&proxies] {
       std::uint64_t total_fallbacks = 0;
@@ -732,10 +729,15 @@ ScenarioResult run_scenario(const Scenario& scenario) {
           last_progress = now;
         }
       }
-      if (!kill_snapshot_done && last_kill_ms >= 0 &&
-          now - start_ns >= static_cast<std::int64_t>(last_kill_ms) * 1000000) {
-        fallback_at_kill = sum_fallback_disk();
-        kill_snapshot_done = true;
+      for (std::size_t k = 0; k < scenario.kills.size(); ++k) {
+        if (!kill_done[k] &&
+            now - start_ns >= static_cast<std::int64_t>(scenario.kills[k].first) * 1000000) {
+          transport->kill_rank(scenario.kills[k].second);
+          kill_done[k] = true;
+          if (++kills_fired == scenario.kills.size()) {
+            fallback_at_kill = sum_fallback_disk();
+          }
+        }
       }
       for (std::size_t i = 0; i < scenario.requests.size(); ++i) {
         const DstRequest& spec = scenario.requests[i];
@@ -824,6 +826,33 @@ ScenarioResult run_scenario(const Scenario& scenario) {
       }
     }
 
+    // Completeness: a successful request delivered every member's partials,
+    // plus the master's final unless a fail_rank skipped the gather. Fault
+    // freedom: without drops and kills nothing may look lost, so no attempt
+    // is retried and no rank declared dead.
+    for (std::size_t i = 0; i < scenario.requests.size(); ++i) {
+      const DstRequest& spec = scenario.requests[i];
+      const auto id = static_cast<std::uint64_t>(i + 1);
+      const RequestState& state = states[id];
+      if (!state.complete || !state.success) {
+        continue;
+      }
+      const int partials = result.terminals[id].workers * spec.partials;
+      const int finals = spec.fail_rank < 0 ? 1 : 0;
+      if (state.partials != partials || state.finals != finals) {
+        note_violation("completeness: request " + std::to_string(id) + " succeeded with " +
+                       std::to_string(state.partials) + "/" + std::to_string(partials) +
+                       " partials and " + std::to_string(state.finals) + "/" +
+                       std::to_string(finals) + " finals");
+      }
+    }
+    if (scenario.drop_rate == 0.0 && scenario.kills.empty() &&
+        (scheduler.total_retries() > 0 || scheduler.lost_workers() > 0)) {
+      note_violation("fault-free: " + std::to_string(scheduler.total_retries()) +
+                     " retries and " + std::to_string(scheduler.lost_workers()) +
+                     " ranks declared dead without drops or kills");
+    }
+
     // QoS oracles. No starvation: the aging bound must really bound how
     // often a ready head was bypassed (kFairShare; trivially 0 under
     // kFifo). Rejection integrity: an admission-refused request must never
@@ -894,7 +923,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
       result.peer_fallback_disk += counters.peer_fallback_disk;
       result.stale_replica_rejects += counters.stale_replica_rejects;
     }
-    if (kill_snapshot_done) {
+    if (kills_fired > 0 && kills_fired == scenario.kills.size()) {
       result.peer_fallback_disk_after_kill = result.peer_fallback_disk - fallback_at_kill;
     }
 

@@ -3,11 +3,13 @@
 /// \file dst_harness.hpp
 /// Deterministic simulation-testing harness: runs the shipped
 /// core::Backend (scheduler, workers, DMS, client links from connect(); no
-/// models) under sim::VirtualClock against a seeded Scenario, with a
-/// sim::VirtualTransport and a synthetic data source injected, and checks
-/// invariant oracles over the outcome (DESIGN.md "Testing strategy"). The
-/// scenario maps onto a BackendConfig; sharded scenarios run the shard
-/// ring Backend builds.
+/// models) under sim::VirtualClock against a seeded Scenario, with the
+/// shipped comm::FaultInjectingTransport over an InProcTransport and a
+/// synthetic data source injected, and checks invariant oracles over the
+/// outcome (DESIGN.md "Testing strategy"). The scenario maps onto a
+/// BackendConfig and the decorator's fault rates; the driver loop kills
+/// ranks at their scheduled virtual instants. Sharded scenarios run the
+/// shard ring Backend builds.
 ///
 /// Oracles:
 ///   1. exactly-once — no duplicated (request, partition, sequence)
@@ -37,7 +39,13 @@
 ///      every block resident in any proxy's L1 is byte-identical to the
 ///      synthetic source's content for that id: no matter which replica
 ///      served it (owner, promoted survivor, peer push), the bytes are the
-///      ones the original store produced.
+///      ones the original store produced,
+///  10. completeness — a successful request delivered workers × partials
+///      partials, plus the master's final unless fail_rank >= 0 (no success
+///      with fragments missing, from a live group or a cache replay),
+///  11. fault freedom — a scenario without drops and kills ends with zero
+///      retries and zero ranks declared dead (delays and duplicates alone
+///      must not look like a lost order or a dead worker).
 
 #include <cstdint>
 #include <map>
@@ -50,7 +58,6 @@
 
 #include "comm/fault_transport.hpp"
 #include "sim/dst_clock.hpp"
-#include "sim/dst_transport.hpp"
 
 namespace vira::sim {
 

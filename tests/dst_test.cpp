@@ -15,13 +15,13 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "comm/fault_transport.hpp"
 #include "core/vmb_data_source.hpp"
 #include "dms/data_proxy.hpp"
 #include "dms/data_server.hpp"
 #include "sim/dst_clock.hpp"
 #include "sim/dst_fuzz.hpp"
 #include "sim/dst_harness.hpp"
-#include "sim/dst_transport.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
 
@@ -44,27 +44,6 @@ TEST(VirtualClockTest, SleepAdvancesVirtualTimeExactly) {
   EXPECT_EQ(clock.now_ns(), 5'000'000);
   clock.sleep_for(std::chrono::microseconds(250));
   EXPECT_EQ(clock.now_ns(), 5'250'000);
-  clock.unregister_driver();
-}
-
-TEST(VirtualClockTest, TimersFireInDueThenRegistrationOrder) {
-  sim::VirtualClock clock;
-  clock.register_driver();
-  std::vector<int> order;
-  {
-    auto lock = clock.acquire();
-    // Registered out of due order; two share a due instant.
-    clock.add_timer_locked(3'000'000, [&] { order.push_back(3); });
-    clock.add_timer_locked(1'000'000, [&] { order.push_back(1); });
-    clock.add_timer_locked(3'000'000, [&] { order.push_back(4); });
-    clock.add_timer_locked(2'000'000, [&] { order.push_back(2); });
-  }
-  // Sleeping past every due time forces the machine to advance through the
-  // timers; they must fire in (due, registration) order, and all of them
-  // before the driver's own deadline resumes it.
-  clock.sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(clock.now_ns(), 10'000'000);
   clock.unregister_driver();
 }
 
@@ -163,9 +142,7 @@ TEST(DstEventWaitTest, MessagePumpedBySiblingReachesItsAddresseeAtDelivery) {
   // it is the one woken by the tag-7 message; it must hand the message to
   // the tag-7 receiver at once, not at the end of a pump slice.
   GlobalVirtualClock clock;
-  sim::VirtualTransport::Config config;
-  config.size = 2;
-  auto transport = std::make_shared<sim::VirtualTransport>(clock.shared(), config);
+  auto transport = std::make_shared<comm::InProcTransport>(2);
   comm::Communicator sender(transport, 0);
   comm::Communicator receiver(transport, 1);
 
@@ -183,6 +160,39 @@ TEST(DstEventWaitTest, MessagePumpedBySiblingReachesItsAddresseeAtDelivery) {
   clock->join_thread(addressee);
   clock->join_thread(sibling);
   EXPECT_EQ(received_at, 5 * kMs);
+}
+
+TEST(DstEventWaitTest, DelayedMessageArrivesItsDelayAfterTheSendInSendOrder) {
+  // With delay_rate = 1 and max_delay = 1 ms every message is held exactly
+  // 1 ms on the decorator's delay thread: the three sent at 2 ms arrive at
+  // 3 ms, in send order, and the one sent at 6 ms at 7 ms.
+  GlobalVirtualClock clock;
+  comm::FaultInjectionConfig faults;
+  faults.delay_rate = 1.0;
+  faults.max_delay = std::chrono::milliseconds(1);
+  auto transport = std::make_shared<comm::FaultInjectingTransport>(
+      std::make_shared<comm::InProcTransport>(2), faults);
+  comm::Communicator sender(transport, 0);
+  comm::Communicator receiver(transport, 1);
+
+  std::vector<std::pair<int, std::int64_t>> arrivals;  // (tag, virtual ns)
+  std::thread reader = util::spawn_thread("reader", [&] {
+    for (int n = 0; n < 4; ++n) {
+      if (auto msg = receiver.try_recv(0, comm::kAnyTag, std::chrono::milliseconds(50))) {
+        arrivals.emplace_back(msg->tag, clock->now_ns());
+      }
+    }
+  });
+  clock->sleep_for(std::chrono::milliseconds(2));
+  for (const int tag : {1, 2, 3}) {
+    sender.send(1, tag, util::ByteBuffer());
+  }
+  clock->sleep_for(std::chrono::milliseconds(4));
+  sender.send(1, 4, util::ByteBuffer());
+  clock->join_thread(reader);
+  EXPECT_EQ(arrivals, (std::vector<std::pair<int, std::int64_t>>{
+                          {1, 3 * kMs}, {2, 3 * kMs}, {3, 3 * kMs}, {4, 7 * kMs}}));
+  EXPECT_EQ(transport->stats().delayed, 4u);
 }
 
 /// Every load takes 7 virtual ms: off the grid of a 2 ms poll slice, so a

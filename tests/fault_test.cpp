@@ -128,6 +128,23 @@ TEST(FaultTransport, KillRankValidatesRange) {
   EXPECT_THROW(transport.kill_rank(2), std::out_of_range);
 }
 
+TEST(FaultTransport, DelayedSendToABadRankThrowsAtTheCall) {
+  // Every message draws a delay, so an unchecked destination would only
+  // fail on the delay thread, where an exception terminates the process.
+  auto inner = std::make_shared<vm::InProcTransport>(2);
+  vm::FaultInjectionConfig config;
+  config.delay_rate = 1.0;
+  vm::FaultInjectingTransport transport(inner, config);
+  EXPECT_THROW(transport.send(transport.size(), tagged(0, 8, "nowhere")), std::out_of_range);
+  EXPECT_THROW(transport.send(-1, tagged(0, 8, "nowhere")), std::out_of_range);
+  // The process survived, and the decorator still delivers.
+  transport.send(1, tagged(0, 9, "somewhere"));
+  auto msg = transport.recv(1, std::chrono::milliseconds(1000));
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload.read_string(), "somewhere");
+  EXPECT_EQ(transport.stats().delayed, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end failure recovery over a real Backend
 // ---------------------------------------------------------------------------
