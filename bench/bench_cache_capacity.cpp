@@ -74,7 +74,7 @@ int main() {
   using namespace vira;
 
   perf::print_banner("Ablation (Fig. 1 / Sec. 4.2)",
-                     "Primary-cache budget vs hit rate; secondary-tier recovery");
+                     "Primary-cache budget vs hit rate; secondary-tier recovery", perf::kUntimed);
 
   std::printf("\n  %-22s %-16s %-16s %-12s\n", "L1 budget (steps)", "hit rate (L1)",
               "hit rate (L1+L2)", "L2 hits");

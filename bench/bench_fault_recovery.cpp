@@ -123,7 +123,8 @@ int main() {
   const double iso = perf::density_iso_mid(reader);
 
   perf::print_banner("Fault recovery",
-                     "ViewerIso under injected transport faults and a worker death");
+                     "ViewerIso under injected transport faults and a worker death",
+                     perf::kRuntime);
   std::printf("\n  %-26s %9s %9s %11s %9s %7s %7s\n", "scenario", "time, s", "retries",
               "fragments", "lost", "ok", "1x");
 
@@ -157,8 +158,8 @@ int main() {
   perf::print_expectation(
       "every scenario terminates successfully with exactly-once fragments and "
       "delivers every fragment of the clean run; the zero-rate injector costs "
-      "~nothing; the killed worker costs one death timeout plus a re-run and "
-      "reports retries > 0");
+      "~nothing; delays alone cost no retry; the killed worker costs one death "
+      "timeout plus a re-run and reports retries > 0");
 
   bool ok = true;
   // Liveness, success, exactly-once and completeness everywhere: a lost
@@ -171,6 +172,8 @@ int main() {
   // Clean runs must not report degradation.
   ok &= baseline.retries == 0 && baseline.lost_workers == 0;
   ok &= passthrough.retries == 0 && passthrough.lost_workers == 0;
+  // A transport that only delays loses nothing, so nothing is re-formed.
+  ok &= delayed.retries == 0 && delayed.lost_workers == 0;
   // The kill must be detected and recovered from, not absorbed silently.
   ok &= killed.retries >= 1 && killed.lost_workers == 1;
   ok &= killed.seconds > baseline.seconds;

@@ -29,7 +29,8 @@ int main() {
   };
 
   perf::print_banner("Figure 11",
-                     "Engine, Lambda-2, runtime without and with prefetching (cold) [s]");
+                     "Engine, Lambda-2, runtime without and with prefetching (cold) [s]",
+                     perf::kDesReplay);
   std::vector<perf::Series> series;
   series.push_back(
       sweep_extraction("without prefetching", profile, cluster, cold_config(false)));

@@ -43,7 +43,8 @@ int main() {
     return series;
   };
 
-  perf::print_banner("Figure 14", "Prefetching influence on pathline computation (Engine) [s]");
+  perf::print_banner("Figure 14", "Prefetching influence on pathline computation (Engine) [s]",
+                     perf::kDesReplay);
   std::vector<perf::Series> series;
   series.push_back(run("none"));
   series.push_back(run("markov"));

@@ -55,7 +55,8 @@ int main() {
   dataman_report.set_kernel(cells_per_sec, simd_active);
 
   perf::print_banner("Figure 15",
-                     "Engine isosurface component breakdown, without / with caching");
+                     "Engine isosurface component breakdown, without / with caching",
+                     perf::kDesReplay);
   simple_report.print(std::cout, "SimpleIso");
   dataman_report.print(std::cout, "IsoDataMan");
   perf::print_expectation("SimpleIso ≈ 50% compute / 49% read / 1% send; "

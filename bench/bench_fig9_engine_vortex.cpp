@@ -15,7 +15,7 @@ int main() {
 
   const auto profile = perf::profile_vortex(reader, 0, threshold, 256);
 
-  perf::print_banner("Figure 9", "Engine, Lambda-2, total runtime [s]");
+  perf::print_banner("Figure 9", "Engine, Lambda-2, total runtime [s]", perf::kDesReplay);
   std::vector<perf::Series> series;
   series.push_back(sweep_extraction("VortexDataMan", profile, cluster, dataman_config));
   series.push_back(sweep_extraction("StreamedVortex", profile, cluster, streaming_config));

@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   results.push_back(bench_pathlines(smoke ? 16 : 64, reps));
 
   perf::print_banner("Extraction micro kernels",
-                     "scalar vs SIMD throughput (vira::simd dispatch)");
+                     "scalar vs SIMD throughput (vira::simd dispatch)", perf::kKernels);
   std::printf("\n  simd level: %s\n\n", simd::level_name(simd::active_level()));
   std::printf("  %-16s %-14s %14s %14s %9s\n", "kernel", "unit", "scalar", "simd", "speedup");
   for (const auto& r : results) {

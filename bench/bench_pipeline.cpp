@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
   }
 
   perf::print_banner("Pipelined block executor",
-                     "vortex.dataman wall time and read-stall share vs. pipeline window");
+                     "vortex.dataman wall time and read-stall share vs. pipeline window",
+                     perf::kRuntime);
   std::printf("\n  %-8s %-10s %9s %9s %9s %9s %8s\n", "window", "mode", "wall, s", "compute",
               "read", "send", "stall%");
   for (const auto& r : results) {

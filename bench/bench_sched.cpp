@@ -182,7 +182,8 @@ int main(int argc, char** argv) {
                            : 0.0;
 
   perf::print_banner("Multi-client QoS scheduling",
-                     "narrow-client latency behind a wide backlog: FIFO vs fair share");
+                     "narrow-client latency behind a wide backlog: FIFO vs fair share",
+                     perf::kRuntime);
   std::printf("\n  %-12s %12s %12s %12s %8s %10s\n", "policy", "p50, ms", "p99, ms",
               "mean, ms", "wide", "backfills");
   for (const auto* r : {&fifo, &fair}) {

@@ -264,7 +264,8 @@ int main(int argc, char** argv) {
   const double speedup = sharded_p50 > 0.0 ? central_p50 / sharded_p50 : 0.0;
 
   perf::print_banner("Sharded DMS & peer transfer",
-                     "Zipf block mix: central strategy+disk vs consistent-hash peer fetch");
+                     "Zipf block mix: central strategy+disk vs consistent-hash peer fetch",
+                     perf::kRuntime);
   std::printf("\n  %-14s %8s %12s %12s\n", "mode", "misses", "p50, ms", "p99, ms");
   std::printf("  %-14s %8zu %12.3f %12.3f\n", "central", central_ms.size(), central_p50,
               percentile(central_ms, 0.99));

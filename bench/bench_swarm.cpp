@@ -6,8 +6,8 @@
 /// at an in-process backend whose single event-loop thread owns every
 /// socket.
 ///
-/// Measures connect latency, per-request latency (p50/p99) and streamed
-/// throughput; emits BENCH_swarm.json and exits non-zero if the shape
+/// Measures connect latency, per-request latency (p50/p99), final-result
+/// and wire bytes; emits BENCH_swarm.json and exits non-zero if the shape
 /// check fails: every client must connect and every request complete
 /// (zero failures), the loop must drop and reap nothing (no link got
 /// wedged behind another), and the result cache must serve hits.
@@ -73,7 +73,7 @@ struct SwarmStats {
   std::vector<double> request_ms;
   std::vector<double> server_ms;  ///< CommandStats::total_runtime (queue + exec)
   std::vector<double> exec_ms;    ///< sum of CommandStats::phase_seconds
-  std::uint64_t result_bytes = 0;
+  std::uint64_t result_bytes = 0;  ///< final results only (kTagFinal), not partials
   std::uint64_t cache_hits = 0;
   int failures = 0;
 
@@ -154,8 +154,8 @@ void write_json(const char* path, int clients, int requests, const char* fronten
       "  \"connect_p99_ms\": %.3f,\n"
       "  \"request_p50_ms\": %.3f,\n"
       "  \"request_p99_ms\": %.3f,\n"
-      "  \"streamed_mb\": %.3f,\n"
-      "  \"streamed_mb_per_s\": %.3f,\n"
+      "  \"final_result_mb\": %.3f,\n"
+      "  \"final_result_mb_per_s\": %.3f,\n"
       "  \"cache_hits\": %llu,\n"
       "  \"wire_bytes_sent\": %llu,\n"
       "  \"backpressure_drops\": %llu,\n"
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
 
   perf::print_banner("Client swarm vs. the epoll frontend",
                      "N concurrent TCP clients, mixed iso / vortex / pathline / "
-                     "cache-hit traffic through one event-loop thread");
+                     "cache-hit traffic through one event-loop thread", perf::kRuntime);
   std::printf("\n  %d clients x %d requests, %s frontend, port %u\n", clients, requests,
               frontend_name, port);
 
@@ -303,6 +303,7 @@ int main(int argc, char** argv) {
   const std::uint64_t retries = backend.scheduler().total_retries();
   const std::uint64_t lost_workers = backend.scheduler().lost_workers();
   backend.shutdown();
+  const std::uint64_t peer_transfers = backend.dms_counters().peer_fetches;
 
   std::printf("\n  %-28s %12.2f\n", "connect p50, ms", percentile(total.connect_ms, 0.50));
   std::printf("  %-28s %12.2f\n", "connect p99, ms", percentile(total.connect_ms, 0.99));
@@ -310,9 +311,9 @@ int main(int argc, char** argv) {
   std::printf("  %-28s %12.2f\n", "request p99, ms", percentile(total.request_ms, 0.99));
   std::printf("  %-28s %12.2f\n", "server runtime p50, ms", percentile(total.server_ms, 0.50));
   std::printf("  %-28s %12.2f\n", "exec phases p50, ms", percentile(total.exec_ms, 0.50));
-  std::printf("  %-28s %12.2f\n", "streamed, MB",
+  std::printf("  %-28s %12.2f\n", "final results, MB",
               static_cast<double>(total.result_bytes) / (1024.0 * 1024.0));
-  std::printf("  %-28s %12.2f\n", "streamed, MB/s",
+  std::printf("  %-28s %12.2f\n", "final results, MB/s",
               static_cast<double>(total.result_bytes) / (1024.0 * 1024.0) / wall_seconds);
   std::printf("  %-28s %12llu\n", "cache hits",
               static_cast<unsigned long long>(total.cache_hits));
@@ -326,6 +327,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(retries));
   std::printf("  %-28s %12llu\n", "workers lost",
               static_cast<unsigned long long>(lost_workers));
+  std::printf("  %-28s %12llu\n", "DMS peer transfers",
+              static_cast<unsigned long long>(peer_transfers));
 
   write_json("BENCH_swarm.json", clients, requests, frontend_name, total,
              wall_seconds, bytes_sent, dropped, reaped, retries, lost_workers);

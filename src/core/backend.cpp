@@ -33,14 +33,16 @@ Backend::Backend(BackendConfig config, std::shared_ptr<comm::Transport> transpor
   const auto vmb_source = std::dynamic_pointer_cast<VmbDataSource>(source);
   data_server_ = std::make_shared<dms::DataServer>(config_.environment);
 
-  // Worker communicators first: the message-based DMS wiring shares them
-  // between the worker loop and the proxy's prefetch thread.
-  std::vector<std::shared_ptr<comm::Communicator>> worker_comms;
-  for (int index = 0; index < config_.workers; ++index) {
-    worker_comms.push_back(std::make_shared<comm::Communicator>(transport_, index + 1));
-  }
-
-  // One proxy per worker node (paper Fig. 3).
+  // One worker and one proxy per node (paper Fig. 3) on one communicator:
+  // the proxy's peer transfers (and, with dms_over_messages, its server
+  // RPCs) cross the rank transport like any other message. Sharded, each
+  // proxy gets its own ShardMap with the same (seed, members, vnodes):
+  // identical routing with no shared state, as distributed ranks would
+  // hold it. Death marks stay local to each proxy (its own fetch timeouts).
+  dms::ShardMap::Config shard_config;
+  shard_config.members = std::min(config_.dms_shards, config_.workers);
+  shard_config.replication = config_.dms_replication;
+  const auto peer_timeout = std::chrono::milliseconds(config_.dms_peer_timeout_ms);
   for (int index = 0; index < config_.workers; ++index) {
     dms::DataProxyConfig proxy_config;
     proxy_config.proxy_id = index;
@@ -61,37 +63,24 @@ Backend::Backend(BackendConfig config, std::shared_ptr<comm::Transport> transpor
     }
     proxy_config.async_prefetch = config_.async_prefetch;
     proxy_config.prefetch_depth = config_.prefetch_depth;
+    const auto rank_comm = std::make_shared<comm::Communicator>(transport_, index + 1);
     std::shared_ptr<dms::ServerApi> server_api = data_server_;
     if (config_.dms_over_messages) {
-      server_api = std::make_shared<RemoteServerApi>(worker_comms[static_cast<std::size_t>(index)]);
+      server_api = std::make_shared<RemoteServerApi>(rank_comm);
     }
-    proxies_.push_back(std::make_shared<dms::DataProxy>(proxy_config, server_api, source));
+    auto proxy = std::make_shared<dms::DataProxy>(proxy_config, server_api, source);
+    if (config_.dms_shards > 1) {
+      proxy->configure_sharding(std::make_shared<dms::ShardMap>(shard_config), rank_comm,
+                                peer_timeout);
+    } else {
+      proxy->connect_peers(rank_comm, peer_timeout);
+    }
+    proxies_.push_back(proxy);
+    workers_.push_back(std::make_unique<Worker>(rank_comm, std::move(proxy), vmb_source,
+                                                config_.worker));
   }
 
-  // Peer transfer across proxies ("across work group boundaries").
-  for (auto& proxy : proxies_) {
-    proxy->set_peer_fetch([this](int peer, dms::ItemId id) -> dms::Blob {
-      if (peer < 0 || peer >= static_cast<int>(proxies_.size())) {
-        return nullptr;
-      }
-      return proxies_[static_cast<std::size_t>(peer)]->cache().peek(id);
-    });
-  }
-
-  // Sharded DMS: each proxy gets its own ShardMap instance with the same
-  // (seed, members, vnodes) — identical routing with no shared state, the
-  // way distributed ranks would hold it. Death marks stay local to each
-  // proxy (learned from its own fetch timeouts), like a real deployment.
   if (config_.dms_shards > 1) {
-    dms::ShardMap::Config shard_config;
-    shard_config.members = std::min(config_.dms_shards, config_.workers);
-    shard_config.replication = config_.dms_replication;
-    for (int index = 0; index < config_.workers; ++index) {
-      proxies_[static_cast<std::size_t>(index)]->configure_sharding(
-          std::make_shared<dms::ShardMap>(shard_config),
-          worker_comms[static_cast<std::size_t>(index)],
-          std::chrono::milliseconds(config_.dms_peer_timeout_ms));
-    }
     // Bump invalidation must reach every replica, not just the scheduler's
     // result cache: fan the name service's version feed out to all proxies.
     data_server_->names().on_bump([this](std::uint64_t version) {
@@ -103,11 +92,6 @@ Backend::Backend(BackendConfig config, std::shared_ptr<comm::Transport> transpor
 
   scheduler_ = std::make_unique<Scheduler>(transport_, config_.workers, data_server_,
                                            config_.scheduler);
-  for (int index = 0; index < config_.workers; ++index) {
-    workers_.push_back(std::make_unique<Worker>(worker_comms[static_cast<std::size_t>(index)],
-                                                proxies_[static_cast<std::size_t>(index)],
-                                                vmb_source, config_.worker));
-  }
 
   scheduler_thread_ = util::spawn_thread("sched", [this] { scheduler_->run(); });
   for (auto& worker : workers_) {
@@ -163,9 +147,9 @@ void Backend::shutdown() {
   for (auto& thread : worker_threads_) {
     util::global_clock().join_thread(thread);
   }
-  // Drain every proxy's prefetch pipeline BEFORE members destruct: an
-  // in-flight speculative load may peer-peek into a sibling proxy's cache,
-  // and the proxies_ vector destroys siblings one by one.
+  // Drain every proxy's prefetch pipeline, so no speculative load is still
+  // running once shutdown returns and the DMS counters read afterwards are
+  // final. Proxies reach each other only over the closed transport.
   for (auto& proxy : proxies_) {
     proxy->quiesce();
   }

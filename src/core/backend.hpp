@@ -5,11 +5,12 @@
 ///
 /// Owns the whole server side of Figure 2: the scheduler (rank 0), N
 /// workers (ranks 1..N, one thread each), the DMS (central data server +
-/// one proxy per worker, with peer transfer wired across proxies), and the
-/// client attachment point (in-process link or a real TCP listener). It is
-/// the only place the runtime is assembled: the rank transport and the
-/// data source are injectable, so fault tests and the DST harness run this
-/// same stack over a fault-injecting or virtual-time transport.
+/// one proxy per worker, each serving its siblings' peer transfers over its
+/// worker's rank communicator), and the client attachment point (in-process
+/// link or a real TCP listener). It is the only place the runtime is
+/// assembled: the rank transport and the data source are injectable, so
+/// fault tests and the DST harness run this same stack over a
+/// fault-injecting or virtual-time transport.
 
 #include <atomic>
 #include <cstdint>
@@ -57,14 +58,17 @@ struct BackendConfig {
 
   /// Sharded DMS (DESIGN.md §12). dms_shards > 1 spreads block ownership
   /// over the first min(dms_shards, workers) proxies by consistent hashing;
-  /// misses route proxy→proxy over kTagPeerFetch instead of asking the
-  /// central server for a strategy. dms_replication ≥ 2 places every block
-  /// on R owners so a killed rank's blocks re-serve from a surviving
-  /// replica. The default (1) keeps the legacy central path byte-identical.
+  /// misses go to the owners instead of asking the central server for a
+  /// strategy. dms_replication ≥ 2 places every block on R owners so a
+  /// killed rank's blocks re-serve from a surviving replica. With the
+  /// default (1) the central server's fitness function picks each load's
+  /// strategy. Either way a peer transfer is a kTagPeerFetch over the rank
+  /// transport.
   int dms_shards = 1;
   int dms_replication = 1;
-  /// Per-attempt peer-fetch timeout before an owner is declared dead and
-  /// the next replica is tried.
+  /// How long a peer transfer waits for the peer's answer before trying the
+  /// next source. Sharded, the silent owner is also marked dead and the
+  /// next replica tried.
   int dms_peer_timeout_ms = 50;
 
   /// Liveness / recovery policy (DESIGN.md "Failure model").

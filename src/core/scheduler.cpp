@@ -339,8 +339,22 @@ void Scheduler::poll_workers(bool idle) {
 
 void Scheduler::handle_heartbeat(comm::Message& msg) {
   const auto beat = Heartbeat::deserialize(msg.payload);
-  last_heartbeat_[msg.source] = util::clock_now();
-  reported_request_[msg.source] = beat.current_request;
+  const auto now = util::clock_now();
+  last_heartbeat_[msg.source] = now;
+  const auto [it, first] = reported_request_.try_emplace(msg.source, beat.current_request);
+  if (first || it->second != beat.current_request) {
+    it->second = beat.current_request;
+    reported_since_[msg.source] = now;
+  }
+}
+
+bool Scheduler::left_request(int rank, std::uint64_t internal_id,
+                             Clock::time_point dispatched_at) const {
+  const auto beat = last_heartbeat_.find(rank);
+  if (beat == last_heartbeat_.end() || reported_request_.at(rank) == internal_id) {
+    return false;
+  }
+  return beat->second > std::max(dispatched_at, reported_since_.at(rank)) + config_.idle_grace;
 }
 
 void Scheduler::handle_stream(comm::Message& msg, bool final) {
@@ -496,6 +510,8 @@ void Scheduler::check_liveness() {
     if (now - last_seen_[rank] > config_.death_timeout) {
       dead_.insert(rank);
       free_.erase(rank);
+      // Its proxy (rank - 1) must stop being named as a peer-transfer holder.
+      data_server_->forget_proxy(rank - 1);
       lost_workers_.fetch_add(1);
       metrics().lost_workers.add();
       VIRA_WARN("scheduler") << "worker rank " << rank << " declared dead (silent for "
@@ -569,10 +585,7 @@ void Scheduler::check_liveness() {
         reason = "member rank " + std::to_string(rank) + " died";
         break;
       }
-      const auto beat = last_heartbeat_.find(rank);
-      if (beat != last_heartbeat_.end() &&
-          beat->second > group.dispatched_at + config_.idle_grace &&
-          reported_request_[rank] != internal_id) {
+      if (left_request(rank, internal_id, group.dispatched_at)) {
         reason = "member rank " + std::to_string(rank) + " is not executing the request";
         break;
       }
@@ -613,10 +626,7 @@ void Scheduler::recover_group(std::uint64_t internal_id, const std::string& reas
     util::ByteBuffer abort_payload;
     abort_payload.write<std::uint64_t>(internal_id);
     comm_.send(rank, kTagGroupAbort, std::move(abort_payload));
-    const auto beat = last_heartbeat_.find(rank);
-    if (beat != last_heartbeat_.end() &&
-        beat->second > group.dispatched_at + config_.idle_grace &&
-        reported_request_[rank] != internal_id) {
+    if (left_request(rank, internal_id, group.dispatched_at)) {
       free_.insert(rank);
     }
   }

@@ -71,11 +71,11 @@ struct SchedulerConfig {
   /// No message (heartbeat or otherwise) from a rank for this long →
   /// the rank is declared dead and permanently removed from the pool.
   std::chrono::milliseconds death_timeout{2000};
-  /// A member whose heartbeats — arriving this long after dispatch — name a
-  /// different request has lost its execute order (or its done report was
-  /// lost); the group is re-formed. Also the grace before believing such a
-  /// mismatch, and how long a group whose members all reported done waits
-  /// for fragments they announced before it is re-formed.
+  /// A member whose heartbeats have named a different request for this
+  /// long (from the later of the dispatch and the change) has lost its
+  /// execute order or its done report; the group is re-formed. Also how
+  /// long a group whose members all reported done waits for fragments they
+  /// announced before it is re-formed.
   std::chrono::milliseconds idle_grace{500};
   /// Work-group re-formations per request before giving up.
   int max_retries = 2;
@@ -275,6 +275,10 @@ class Scheduler {
   void serve_cache_hits();
   void replay_cached(PendingRequest& entry, const CachedResult& hit);
   void check_liveness();
+  /// True once `rank`'s heartbeats have named another request than
+  /// `internal_id` for idle_grace since the later of `dispatched_at` and
+  /// the change, so a done report delayed behind an "idle" beat lands.
+  bool left_request(int rank, std::uint64_t internal_id, Clock::time_point dispatched_at) const;
   void recover_group(std::uint64_t internal_id, const std::string& reason);
   void fail_pending(PendingRequest& entry, const std::string& reason);
   void start_group(PendingRequest entry);
@@ -325,6 +329,7 @@ class Scheduler {
   std::map<int, Clock::time_point> last_seen_;       ///< any message
   std::map<int, Clock::time_point> last_heartbeat_;  ///< heartbeats only
   std::map<int, std::uint64_t> reported_request_;    ///< from heartbeats
+  std::map<int, Clock::time_point> reported_since_;  ///< reported_request_ last changed
   /// Last time a stale-execution abort was re-sent per rank (see
   /// check_liveness: a dropped kTagGroupAbort must be retried or the rank
   /// leaks, stuck executing an abandoned attempt forever).

@@ -18,6 +18,21 @@ namespace {
 /// How often the peer-service thread re-checks its stop flag. Messages end
 /// its wait at once; this only bounds how long teardown waits for it.
 constexpr auto kPeerServiceStopCheck = std::chrono::milliseconds(20);
+
+/// Runs `read` inside the server's per-file reader count (the collective-I/O
+/// fitness input), closing the count on a throw too.
+template <typename Read>
+auto counted_read(ServerApi& server, const std::string& file_key, Read read) {
+  server.begin_file_read(file_key);
+  try {
+    auto result = read();
+    server.end_file_read(file_key);
+    return result;
+  } catch (...) {
+    server.end_file_read(file_key);
+    throw;
+  }
+}
 }  // namespace
 
 DataProxy::DataProxy(DataProxyConfig config, std::shared_ptr<ServerApi> server,
@@ -51,20 +66,32 @@ DataProxy::~DataProxy() {
   }
 }
 
+void DataProxy::connect_peers(std::shared_ptr<comm::Communicator> comm,
+                              std::chrono::milliseconds fetch_timeout) {
+  if (!comm) {
+    throw std::invalid_argument("DataProxy::connect_peers: comm required");
+  }
+  if (peer_comm_) {
+    throw std::logic_error("DataProxy::connect_peers: already connected");
+  }
+  peer_comm_ = std::move(comm);
+  peer_fetch_timeout_ = fetch_timeout;
+  peer_thread_ = util::spawn_thread("dms.peer." + std::to_string(config_.proxy_id),
+                                   [this] { peer_service_loop(); });
+}
+
 void DataProxy::configure_sharding(std::shared_ptr<ShardMap> map,
                                    std::shared_ptr<comm::Communicator> comm,
                                    std::chrono::milliseconds fetch_timeout) {
   if (!map || !comm) {
     throw std::invalid_argument("DataProxy::configure_sharding: map and comm required");
   }
-  if (shard_map_) {
+  if (shard_map_ || peer_comm_) {
     throw std::logic_error("DataProxy::configure_sharding: already configured");
   }
+  // Before the peer-service thread starts: it reads the map.
   shard_map_ = std::move(map);
-  peer_comm_ = std::move(comm);
-  peer_fetch_timeout_ = fetch_timeout;
-  peer_thread_ = util::spawn_thread("dms.peer." + std::to_string(config_.proxy_id),
-                                   [this] { peer_service_loop(); });
+  connect_peers(std::move(comm), fetch_timeout);
 }
 
 void DataProxy::on_data_version(std::uint64_t version) { raise_data_version(version); }
@@ -89,7 +116,7 @@ std::uint64_t DataProxy::item_version(ItemId id) const {
 
 bool DataProxy::fresh(ItemId id) const {
   if (!shard_map_) {
-    return true;  // legacy mode: versioning is the result cache's concern
+    return true;  // not sharded: versioning is the result cache's concern
   }
   return item_version(id) >= data_version_.load(std::memory_order_acquire);
 }
@@ -103,8 +130,6 @@ void DataProxy::configure_prefetcher(const std::string& kind, SuccessorFn succes
   std::lock_guard<std::mutex> lock(prefetcher_mutex_);
   prefetcher_ = make_prefetcher(kind, std::move(successor));
 }
-
-void DataProxy::set_peer_fetch(PeerFetchFn fn) { peer_fetch_ = std::move(fn); }
 
 Blob DataProxy::request(const DataItemName& name) {
   const ItemId id = resolver_.resolve(name);
@@ -241,13 +266,6 @@ Blob DataProxy::load_item(ItemId id, const DataItemName& name, bool from_prefetc
 }
 
 Blob DataProxy::execute_load(ItemId id, const DataItemName& name, bool from_prefetch) {
-  if (shard_map_) {
-    return execute_load_sharded(id, name, from_prefetch);
-  }
-  const std::uint64_t item_bytes = source_->item_bytes(name);
-  const std::uint64_t file_bytes = source_->file_bytes(name);
-  const std::string file_key = source_->file_key(name);
-
   // Demand loads run on the worker thread and inherit the worker.execute /
   // phase context; async prefetches run on the prefetch thread with no
   // context and trace as request-0 roots (exempted by trace validators).
@@ -259,26 +277,74 @@ Blob DataProxy::execute_load(ItemId id, const DataItemName& name, bool from_pref
     span.arg("item", static_cast<std::int64_t>(id));
   }
 
-  // Ask the central server which strategy to use (paper Sec. 4.3).
-  const auto decision = server_->choose_strategy(config_.proxy_id, id, item_bytes, file_bytes,
-                                                 file_key);
+  // Sources, in order: peers, then a collective or direct disk read. A
+  // sharded non-owner tries the owner replicas, with no central round-trip.
+  // Otherwise the central server's fitness function picks the strategy
+  // (paper Sec. 4.3) and names the holder a peer transfer copies from.
+  const std::string file_key = source_->file_key(name);
+  const std::vector<int> owners = shard_map_ ? shard_map_->owners(id) : std::vector<int>{};
+  std::vector<int> peers;
+  bool collective = false;
+  if (shard_map_) {
+    if (std::find(owners.begin(), owners.end(), config_.proxy_id) == owners.end()) {
+      peers = owners;
+    }
+  } else {
+    const auto decision = server_->choose_strategy(config_.proxy_id, id, source_->item_bytes(name),
+                                                   source_->file_bytes(name), file_key);
+    if (decision.kind == StrategyKind::kPeerTransfer && peer_comm_) {
+      peers.push_back(decision.peer);
+    }
+    collective = decision.kind == StrategyKind::kCollectiveIo;
+  }
+  // Version floors are the sharded DMS's: unsharded entries carry no stamp.
+  const std::uint64_t min_version = shard_map_ ? data_version_.load(std::memory_order_acquire) : 0;
 
   util::WallTimer timer;
   Blob blob;
-
-  if (decision.kind == StrategyKind::kPeerTransfer && peer_fetch_) {
-    blob = peer_fetch_(decision.peer, id);
-    if (blob) {
-      VIRA_TRACE("dms") << "proxy " << config_.proxy_id << " got item " << id << " from peer "
-                        << decision.peer;
+  std::uint64_t blob_version = min_version;
+  // A dead or silent peer earlier in the list means whoever answers is a
+  // promoted replica, not the primary — the `dms.replica_promotions`
+  // instrument the failover acceptance check keys on.
+  bool earlier_peer_failed = false;
+  for (const int peer : peers) {
+    if (shard_map_ && shard_map_->is_dead(peer)) {
+      earlier_peer_failed = true;
+      continue;
     }
+    bool timed_out = false;
+    std::uint64_t version = 0;
+    blob = fetch_from_peer(peer, id, min_version, timed_out, version);
+    if (blob) {
+      blob_version = std::max(blob_version, version);
+      stats_->record_peer_fetch();
+      if (earlier_peer_failed) {
+        stats_->record_replica_promotion();
+      }
+      break;
+    }
+    if (timed_out) {
+      stats_->record_peer_fetch_timeout();
+      if (shard_map_) {
+        shard_map_->mark_dead(peer);
+      } else {
+        // Until the scheduler declares the holder's rank dead, at least
+        // stop the fitness function naming it for this item.
+        server_->report_evict(peer, id);
+      }
+      earlier_peer_failed = true;
+      continue;
+    }
+    // Signed miss: the peer is alive but does not hold the block (cold,
+    // evicted, or stale-rejected). Replicas evict independently, so try
+    // the rest of the list before paying for the disk.
+    stats_->record_peer_fetch_miss();
   }
 
-  if (!blob && decision.kind == StrategyKind::kCollectiveIo) {
-    server_->begin_file_read(file_key);
-    auto items = source_->load_file(name);
-    server_->end_file_read(file_key);
-    for (auto& [item_name, buffer] : items) {
+  const bool from_disk = !blob;
+  if (!blob && collective) {
+    for (auto& [item_name, buffer] :
+         counted_read(*server_, file_key, [&] { return source_->load_file(name); })) {
       const ItemId sibling = resolver_.resolve(item_name);
       Blob sibling_blob = make_blob(std::move(buffer));
       if (sibling == id) {
@@ -288,113 +354,11 @@ Blob DataProxy::execute_load(ItemId id, const DataItemName& name, bool from_pref
       server_->report_insert(config_.proxy_id, sibling);
     }
   }
-
-  if (!blob) {
-    // Direct disk (also the fallback when a peer raced away or the
-    // collective read failed to yield the item).
-    server_->begin_file_read(file_key);
-    util::ByteBuffer buffer;
-    try {
-      buffer = source_->load(name);
-    } catch (...) {
-      server_->end_file_read(file_key);
-      throw;
-    }
-    server_->end_file_read(file_key);
-    blob = make_blob(std::move(buffer));
+  if (!blob) {  // direct disk, also when the collective read lacked the item
+    blob = make_blob(counted_read(*server_, file_key, [&] { return source_->load(name); }));
   }
-
-  const double seconds = timer.seconds();
-  stats_->record_load(blob->size(), seconds);
-  if (span.active()) {
-    span.arg("bytes", static_cast<std::int64_t>(blob->size()));
-    span.arg("strategy", static_cast<std::int64_t>(decision.kind));
-  }
-  if (seconds > 0.0) {
-    server_->observe_disk_bandwidth(static_cast<double>(blob->size()) / seconds);
-  }
-
-  cache_->put(id, blob, from_prefetch);
-  server_->report_insert(config_.proxy_id, id);
-  return blob;
-}
-
-Blob DataProxy::execute_load_sharded(ItemId id, const DataItemName& name, bool from_prefetch) {
-  // No central strategy round-trip: the ShardMap is the strategy. Owners
-  // serve from their caches; everyone else peer-fetches from them, walking
-  // the replica list when an owner is dead or silent.
-  const auto& trace_ctx = obs::current_context();
-  auto span = obs::Tracer::instance().start(from_prefetch ? "dms.prefetch" : "dms.load",
-                                            trace_ctx.request_id, config_.proxy_id + 1,
-                                            trace_ctx.span_id);
-  if (span.active()) {
-    span.arg("item", static_cast<std::int64_t>(id));
-    span.arg("sharded", 1);
-  }
-
-  const std::vector<int> owners = shard_map_->owners(id);
-  const bool self_owner =
-      std::find(owners.begin(), owners.end(), config_.proxy_id) != owners.end();
-  const std::uint64_t min_version = data_version_.load(std::memory_order_acquire);
-
-  util::WallTimer timer;
-  Blob blob;
-  std::uint64_t blob_version = min_version;
-  bool from_disk = false;
-
-  if (!self_owner) {
-    // A dead entry earlier in the owner list means whoever answers is a
-    // promoted replica, not the primary — that distinction is the
-    // `dms.replica_promotions` instrument the failover acceptance check
-    // keys on.
-    bool earlier_owner_failed = false;
-    for (const int owner : owners) {
-      if (shard_map_->is_dead(owner)) {
-        earlier_owner_failed = true;
-        continue;
-      }
-      bool timed_out = false;
-      std::uint64_t version = 0;
-      Blob fetched = fetch_from_peer(owner, id, min_version, timed_out, version);
-      if (fetched) {
-        blob = std::move(fetched);
-        blob_version = std::max(blob_version, version);
-        stats_->record_peer_fetch();
-        if (earlier_owner_failed) {
-          stats_->record_replica_promotion();
-        }
-        break;
-      }
-      if (timed_out) {
-        stats_->record_peer_fetch_timeout();
-        shard_map_->mark_dead(owner);
-        earlier_owner_failed = true;
-        continue;
-      }
-      // Signed miss: the owner is alive but does not hold the block (cold,
-      // evicted, or stale-rejected). Replicas evict independently, so try
-      // the rest of the list before paying for the disk.
-      stats_->record_peer_fetch_miss();
-    }
-  }
-
-  if (!blob) {
-    // Disk: we own the item, or every owner replica missed or died.
-    const std::string file_key = source_->file_key(name);
-    server_->begin_file_read(file_key);
-    util::ByteBuffer buffer;
-    try {
-      buffer = source_->load(name);
-    } catch (...) {
-      server_->end_file_read(file_key);
-      throw;
-    }
-    server_->end_file_read(file_key);
-    blob = make_blob(std::move(buffer));
-    from_disk = true;
-    if (!self_owner) {
-      stats_->record_peer_fallback_disk();
-    }
+  if (from_disk && !peers.empty()) {
+    stats_->record_peer_fallback_disk();
   }
 
   const double seconds = timer.seconds();
@@ -403,14 +367,18 @@ Blob DataProxy::execute_load_sharded(ItemId id, const DataItemName& name, bool f
     span.arg("bytes", static_cast<std::int64_t>(blob->size()));
     span.arg("disk", from_disk ? 1 : 0);
   }
+  // Only disk reads feed the bandwidth the fitness function weighs peer
+  // transfer against.
   if (from_disk && seconds > 0.0) {
     server_->observe_disk_bandwidth(static_cast<double>(blob->size()) / seconds);
   }
 
   cache_->put(id, blob, from_prefetch);
-  stamp_version(id, blob_version);
+  if (shard_map_) {
+    stamp_version(id, blob_version);
+  }
   server_->report_insert(config_.proxy_id, id);
-  if (from_disk) {
+  if (shard_map_ && from_disk) {
     // Replica placement: a disk load seeds every live owner, so a later
     // owner death is covered by a surviving copy instead of a respill.
     push_to_owners(id, blob, owners, blob_version);
@@ -418,7 +386,7 @@ Blob DataProxy::execute_load_sharded(ItemId id, const DataItemName& name, bool f
   return blob;
 }
 
-Blob DataProxy::fetch_from_peer(int owner, ItemId id, std::uint64_t min_version,
+Blob DataProxy::fetch_from_peer(int peer, ItemId id, std::uint64_t min_version,
                                 bool& timed_out, std::uint64_t& version_out) {
   timed_out = false;
   version_out = 0;
@@ -448,7 +416,7 @@ Blob DataProxy::fetch_from_peer(int owner, ItemId id, std::uint64_t min_version,
   req.reply_rank = peer_comm_->rank();
   util::ByteBuffer payload;
   req.serialize(payload);
-  peer_comm_->send(owner + 1, comm::kTagPeerFetch, std::move(payload));
+  peer_comm_->send(peer + 1, comm::kTagPeerFetch, std::move(payload));
 
   const auto deadline = util::clock_now() + peer_fetch_timeout_;
   while (true) {
@@ -521,7 +489,7 @@ void DataProxy::serve_peer_fetch(const comm::Message& msg) {
 
   PeerBlockReply reply;
   reply.seq = req.seq;
-  if (!shard_map_->is_owner(req.id, config_.proxy_id)) {
+  if (shard_map_ && !shard_map_->is_owner(req.id, config_.proxy_id)) {
     // Routing disagreement (the requester's map is ahead or behind ours on
     // death marks). Still answered from cache if possible — but counted.
     stats_->record_shard_misroute();

@@ -8,25 +8,21 @@
 /// with the possibility to change system parameters from outside but not
 /// the result of a data request."
 ///
-/// request() is the whole story from a command's point of view: cache hit
-/// or — after asking the data server which loading strategy to use — a
-/// load from disk, a peer proxy, or a collective file read. Around that
-/// core the proxy runs the system prefetcher on a background thread
-/// (suggestions from Sec. 4.2) and accepts user-initiated code prefetches.
-/// In-flight loads are deduplicated so a demand request never re-reads a
-/// block the prefetch thread is already fetching.
-///
-/// With configure_sharding() the proxy additionally joins the sharded DMS
-/// (DESIGN.md §12): misses route by a consistent-hash ShardMap straight to
-/// the owning proxies over kTagPeerFetch/kTagPeerBlock messages — no
-/// central strategy round-trip — and a peer-service thread answers the
-/// sibling proxies' fetches from this proxy's cache. Disk loads replicate
-/// to every live owner (kTagPeerPush) so a killed rank's blocks re-serve
-/// from a surviving replica instead of respilling from disk.
+/// request() is the whole story from a command's point of view: a cache hit
+/// or the one load path, execute_load(). A miss asks the data server's
+/// fitness function for a loading strategy (paper Sec. 4.3) or, sharded
+/// (configure_sharding, DESIGN.md §12), its ShardMap for the owner
+/// replicas; it tries those peers in order over the rank transport, then a
+/// collective or direct disk read. A peer-service thread answers the
+/// siblings' fetches from this proxy's cache, so no proxy reads another's
+/// cache directly and a killed rank serves nothing. Around that core the
+/// proxy runs the system prefetcher on a background thread (suggestions
+/// from Sec. 4.2) and accepts user-initiated code prefetches. In-flight
+/// loads are deduplicated so a demand request never re-reads a block the
+/// prefetch thread is already fetching.
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -53,11 +49,6 @@ struct DataProxyConfig {
   std::size_t prefetch_depth = 2;   ///< max suggestions executed per request
   bool async_prefetch = true;       ///< run prefetches on a background thread
 };
-
-/// Fetches an item from another proxy's cache; null when unavailable.
-/// Wired by the runtime ("proxies are able to communicate and exchange
-/// data across work group boundaries").
-using PeerFetchFn = std::function<Blob(int peer, ItemId id)>;
 
 class DataProxy {
  public:
@@ -93,15 +84,19 @@ class DataProxy {
   /// not prefetch.
   void configure_prefetcher(const std::string& kind, SuccessorFn successor);
 
-  void set_peer_fetch(PeerFetchFn fn);
+  /// Connects the proxy to its siblings over `comm` (rank = proxy_id + 1
+  /// on both ends); call before the proxy serves requests. Spawns the
+  /// "dms.peer.<id>" thread that answers sibling fetches (and, sharded,
+  /// pushes). A peer transfer waits `fetch_timeout` for the peer's answer
+  /// before trying the next source, and the data server stops naming a
+  /// silent holder for that item; without this channel it reads the disk.
+  void connect_peers(std::shared_ptr<comm::Communicator> comm,
+                     std::chrono::milliseconds fetch_timeout);
 
-  /// Joins the sharded DMS (DESIGN.md §12). Must be called before the
-  /// proxy serves requests. Spawns the "dms.peer.<id>" service thread that
-  /// answers sibling fetches/pushes on `comm` (rank = proxy_id + 1 on both
-  /// ends), and switches execute_load() to the shard-routed path: no
-  /// central strategy RPC, owners resolve via `map`, misses on non-owned
-  /// items peer-fetch from the owner replicas with `fetch_timeout` per
-  /// attempt before declaring an owner dead and promoting the next replica.
+  /// Joins the sharded DMS (DESIGN.md §12) and calls connect_peers(comm,
+  /// fetch_timeout). Misses route by `map` instead of the central strategy
+  /// RPC: a non-owner tries the owner replicas in order, and a timed-out
+  /// owner is marked dead in `map` so the next replica is promoted.
   void configure_sharding(std::shared_ptr<ShardMap> map,
                           std::shared_ptr<comm::Communicator> comm,
                           std::chrono::milliseconds fetch_timeout = std::chrono::milliseconds(50));
@@ -113,7 +108,6 @@ class DataProxy {
   /// cache invalidated downstream results.
   void on_data_version(std::uint64_t version);
 
-  bool sharded() const { return shard_map_ != nullptr; }
   std::uint64_t data_version() const { return data_version_.load(std::memory_order_acquire); }
 
   /// Blocks until queued prefetches finished (tests, phase boundaries).
@@ -131,8 +125,7 @@ class DataProxy {
  private:
   Blob load_item(ItemId id, const DataItemName& name, bool from_prefetch);
   Blob execute_load(ItemId id, const DataItemName& name, bool from_prefetch);
-  Blob execute_load_sharded(ItemId id, const DataItemName& name, bool from_prefetch);
-  Blob fetch_from_peer(int owner, ItemId id, std::uint64_t min_version, bool& timed_out,
+  Blob fetch_from_peer(int peer, ItemId id, std::uint64_t min_version, bool& timed_out,
                        std::uint64_t& version_out);
   void push_to_owners(ItemId id, const Blob& blob, const std::vector<int>& owners,
                       std::uint64_t version);
@@ -142,8 +135,8 @@ class DataProxy {
   /// Current-version stamp bookkeeping for the sharded path.
   void stamp_version(ItemId id, std::uint64_t version);
   std::uint64_t item_version(ItemId id) const;
-  /// True when the cached entry may be served/returned (always in legacy
-  /// mode; stamp >= version floor in sharded mode).
+  /// True when the cached entry may be served/returned (always when not
+  /// sharded; stamp >= version floor when sharded).
   bool fresh(ItemId id) const;
   /// Stale cache hit: drop the entry everywhere and tell the server.
   void evict_stale(ItemId id);
@@ -162,7 +155,6 @@ class DataProxy {
   std::shared_ptr<DmsStatistics> stats_;
   std::unique_ptr<TwoTierCache> cache_;
   NameResolver resolver_;
-  PeerFetchFn peer_fetch_;
 
   std::mutex prefetcher_mutex_;
   std::unique_ptr<Prefetcher> prefetcher_;
@@ -182,7 +174,8 @@ class DataProxy {
   util::ClockCondition idle_cv_;  ///< prefetch_inflight_ reached 0
   int prefetch_inflight_ = 0;
 
-  /// Sharded-DMS state (null/empty in legacy mode; see configure_sharding).
+  /// Peer channel (null until connect_peers) and shard map (null unless
+  /// configure_sharding).
   std::shared_ptr<ShardMap> shard_map_;
   std::shared_ptr<comm::Communicator> peer_comm_;
   std::chrono::milliseconds peer_fetch_timeout_{50};

@@ -6,7 +6,18 @@ DataServer::DataServer(LoadEnvironment env) : env_(env) {}
 
 void DataServer::report_insert(int proxy, ItemId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  holders_[id].insert(proxy);
+  if (forgotten_.count(proxy) == 0) {
+    holders_[id].insert(proxy);
+  }
+}
+
+void DataServer::forget_proxy(int proxy) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  forgotten_.insert(proxy);
+  for (auto it = holders_.begin(); it != holders_.end();) {
+    it->second.erase(proxy);
+    it = it->second.empty() ? holders_.erase(it) : std::next(it);
+  }
 }
 
 void DataServer::report_evict(int proxy, ItemId id) {
@@ -22,22 +33,19 @@ void DataServer::report_evict(int proxy, ItemId id) {
 
 std::optional<int> DataServer::holder_of(ItemId id, int excluding) const {
   std::lock_guard<std::mutex> lock(mutex_);
+  return other_holder(id, excluding);
+}
+
+std::optional<int> DataServer::other_holder(ItemId id, int excluding) const {
   auto it = holders_.find(id);
-  if (it == holders_.end()) {
-    return std::nullopt;
-  }
-  for (const int proxy : it->second) {
-    if (proxy != excluding) {
-      return proxy;
+  if (it != holders_.end()) {
+    for (const int proxy : it->second) {
+      if (proxy != excluding) {
+        return proxy;
+      }
     }
   }
   return std::nullopt;
-}
-
-std::size_t DataServer::holder_count(ItemId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = holders_.find(id);
-  return it != holders_.end() ? it->second.size() : 0;
 }
 
 void DataServer::begin_file_read(const std::string& file_key) {
@@ -59,56 +67,24 @@ int DataServer::concurrent_readers(const std::string& file_key) const {
   return it != file_readers_.end() ? it->second : 0;
 }
 
-LoadRequestInfo DataServer::build_request_info(int proxy, ItemId id, std::uint64_t item_bytes,
-                                               std::uint64_t file_bytes,
-                                               const std::string& file_key) const {
+StrategyDecision DataServer::choose_strategy(int proxy, ItemId id, std::uint64_t item_bytes,
+                                             std::uint64_t file_bytes,
+                                             const std::string& file_key) {
+  std::lock_guard<std::mutex> lock(mutex_);
   LoadRequestInfo info;
   info.item_bytes = item_bytes;
   info.file_bytes = file_bytes;
   auto readers_it = file_readers_.find(file_key);
   info.concurrent_same_file = readers_it != file_readers_.end() ? readers_it->second : 0;
-  auto holders_it = holders_.find(id);
-  if (holders_it != holders_.end()) {
-    for (const int holder : holders_it->second) {
-      if (holder != proxy) {
-        info.peer_has_item = true;
-        break;
-      }
-    }
-  }
-  return info;
-}
-
-DataServer::Decision DataServer::choose_strategy(int proxy, ItemId id, std::uint64_t item_bytes,
-                                                 std::uint64_t file_bytes,
-                                                 const std::string& file_key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto info = build_request_info(proxy, id, item_bytes, file_bytes, file_key);
-  Decision decision;
+  const auto holder = other_holder(id, proxy);
+  info.peer_has_item = holder.has_value();
+  StrategyDecision decision;
   decision.kind = selector_.choose(env_, info);
   if (decision.kind == StrategyKind::kPeerTransfer) {
-    auto it = holders_.find(id);
-    if (it != holders_.end()) {
-      for (const int holder : it->second) {
-        if (holder != proxy) {
-          decision.peer = holder;
-          break;
-        }
-      }
-    }
-    if (decision.peer < 0) {
-      decision.kind = StrategyKind::kDirectDisk;  // registry raced; fall back
-    }
+    decision.peer = *holder;  // peer transfer only scores with a holder
   }
   ++decisions_[to_string(decision.kind)];
   return decision;
-}
-
-std::vector<FitnessSelector::Scored> DataServer::score_strategies(
-    int proxy, ItemId id, std::uint64_t item_bytes, std::uint64_t file_bytes,
-    const std::string& file_key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return selector_.score(env_, build_request_info(proxy, id, item_bytes, file_bytes, file_key));
 }
 
 void DataServer::set_environment(const LoadEnvironment& env) {

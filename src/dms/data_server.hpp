@@ -42,9 +42,12 @@ class DataServer : public ServerApi {
   /// --- ServerApi: proxy state registry ---------------------------------------
   void report_insert(int proxy, ItemId id) override;
   void report_evict(int proxy, ItemId id) override;
+  /// Drops `proxy` from every holder set for good and ignores its later
+  /// inserts: the scheduler calls this when it declares the proxy's rank
+  /// (proxy + 1) dead, so the fitness function never names a dead holder.
+  void forget_proxy(int proxy);
   /// Any proxy (≠ `excluding`) holding the item in its primary cache.
   std::optional<int> holder_of(ItemId id, int excluding) const;
-  std::size_t holder_count(ItemId id) const;
 
   /// --- ServerApi: file read concurrency --------------------------------------
   void begin_file_read(const std::string& file_key) override;
@@ -52,16 +55,8 @@ class DataServer : public ServerApi {
   int concurrent_readers(const std::string& file_key) const;
 
   /// --- ServerApi: strategy decision ------------------------------------------
-  using Decision = StrategyDecision;
-
-  Decision choose_strategy(int proxy, ItemId id, std::uint64_t item_bytes,
-                           std::uint64_t file_bytes, const std::string& file_key) override;
-
-  /// Full scoring for diagnostics / the loading-strategies ablation bench.
-  std::vector<FitnessSelector::Scored> score_strategies(int proxy, ItemId id,
-                                                        std::uint64_t item_bytes,
-                                                        std::uint64_t file_bytes,
-                                                        const std::string& file_key) const;
+  StrategyDecision choose_strategy(int proxy, ItemId id, std::uint64_t item_bytes,
+                                   std::uint64_t file_bytes, const std::string& file_key) override;
 
   /// --- environment -------------------------------------------------------
   void set_environment(const LoadEnvironment& env);
@@ -74,15 +69,14 @@ class DataServer : public ServerApi {
   std::unordered_map<std::string, std::uint64_t> decision_counts() const;
 
  private:
-  LoadRequestInfo build_request_info(int proxy, ItemId id, std::uint64_t item_bytes,
-                                     std::uint64_t file_bytes,
-                                     const std::string& file_key) const;
-
+  /// holder_of with mutex_ held.
+  std::optional<int> other_holder(ItemId id, int excluding) const;
   mutable std::mutex mutex_;
   NameService names_;
   LoadEnvironment env_;
   FitnessSelector selector_;
   std::unordered_map<ItemId, std::set<int>> holders_;
+  std::set<int> forgotten_;  ///< proxies of dead ranks (forget_proxy)
   std::unordered_map<std::string, int> file_readers_;
   mutable std::unordered_map<std::string, std::uint64_t> decisions_;
 };

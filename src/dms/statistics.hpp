@@ -44,15 +44,16 @@ struct DmsCounters {
   /// Demotions dropped because the spill-file write failed (disk full, I/O
   /// error); the item is NOT indexed and a later get() reloads it.
   std::uint64_t demotions_dropped_io = 0;
-  /// Sharded-DMS peer transfer (DESIGN.md §12). A "promotion" is a fetch
+  /// Peer transfer (DESIGN.md §12). A "promotion" is a sharded fetch
   /// answered by a non-primary replica because an earlier owner in the ring
   /// order was dead or timed out — the failover the replica placement buys.
   std::uint64_t peer_fetches = 0;         ///< blocks obtained rank↔rank
-  std::uint64_t peer_fetch_misses = 0;    ///< owner answered "not cached"
-  std::uint64_t peer_fetch_timeouts = 0;  ///< owner silent; marked dead
+  std::uint64_t peer_fetch_misses = 0;    ///< peer answered "not cached"
+  std::uint64_t peer_fetch_timeouts = 0;  ///< peer silent: owner marked dead or holder dropped
   std::uint64_t peer_pushes = 0;          ///< replica placements sent
   std::uint64_t replica_promotions = 0;
-  /// Non-owner loads that exhausted every owner and hit disk.
+  /// Loads that tried a peer (owner replica or named holder) and then
+  /// read the disk.
   std::uint64_t peer_fallback_disk = 0;
   /// Fetches this proxy was asked to serve for items it does not own.
   std::uint64_t shard_misroutes = 0;
@@ -158,14 +159,6 @@ class DmsStatistics {
     std::lock_guard<std::mutex> lock(mutex_);
     counters_.bytes_loaded += bytes;
     counters_.load_seconds += seconds;
-  }
-
-  /// Observed disk bandwidth in bytes/s (fed to the fitness function).
-  double observed_load_bandwidth() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_.load_seconds > 0.0
-               ? static_cast<double>(counters_.bytes_loaded) / counters_.load_seconds
-               : 0.0;
   }
 
   DmsCounters snapshot() const {

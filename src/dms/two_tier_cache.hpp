@@ -51,12 +51,12 @@ class TwoTierCache {
   void pin(ItemId id) { l1_.pin(id); }
   void unpin(ItemId id) { l1_.unpin(id); }
 
-  /// Peek L1 without state changes (peer transfer source).
+  /// Peek L1 without state changes.
   Blob peek(ItemId id) const { return l1_.peek(id); }
 
   /// Peek both tiers without state changes: L1, else a read of the L2
   /// spill file with no promotion (the blob stays on disk, the LRU order
-  /// is untouched). The sharded peer-service thread answers fetches with
+  /// is untouched). The peer-service thread answers fetches with
   /// this so serving a sibling never perturbs the local replacement state
   /// or the hit/miss accounting.
   Blob peek_deep(ItemId id) const;

@@ -8,11 +8,16 @@
 
 namespace vira::perf {
 
-void print_banner(const std::string& figure, const std::string& caption) {
+void print_banner(const std::string& figure, const std::string& caption, Measured measured) {
+  static const char* const kSources[] = {
+      "DES replay of the calibrated virtual cluster, driven by real\n"
+      " per-block costs; no runtime ran. See DESIGN.md / EXPERIMENTS.md",
+      "real runtime on this host, timed on the wall clock",
+      "real kernels alone on this host, timed directly; no runtime ran",
+      "counted by the real code on synthetic inputs; nothing timed"};
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", figure.c_str(), caption.c_str());
-  std::printf("(measured on the calibrated virtual cluster, driven by real\n");
-  std::printf(" per-block costs; see DESIGN.md / EXPERIMENTS.md)\n");
+  std::printf("(%s)\n", kSources[measured]);
   std::printf("================================================================\n");
 }
 

@@ -21,8 +21,16 @@ struct Series {
   std::vector<SeriesPoint> points;
 };
 
-/// Prints a figure banner: id ("Figure 6"), caption and provenance note.
-void print_banner(const std::string& figure, const std::string& caption);
+/// What a bench's numbers come from; print_banner states it.
+enum Measured {
+  kDesReplay,  ///< DES replay of the calibrated virtual cluster; no runtime ran
+  kRuntime,    ///< the real runtime (Backend or its parts) on the wall clock
+  kKernels,    ///< the real kernels or codecs alone, timed on this host
+  kUntimed,    ///< real code on synthetic inputs: counts, nothing timed
+};
+
+/// Prints a figure banner: id ("Figure 6"), caption and what was measured.
+void print_banner(const std::string& figure, const std::string& caption, Measured measured);
 
 /// Prints runtime series the way the paper's bar charts read: one row per
 /// worker count, one bar per command.

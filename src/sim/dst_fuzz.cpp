@@ -259,8 +259,8 @@ bool shrink_round(Scenario& best, ScenarioResult& failure, int max_attempts, int
     consider(candidate);
   }
   if (best.shards > 1) {
-    // Toward the legacy central path; a sharding-specific failure survives
-    // this pass, a generic one sheds the whole peer-transfer machinery.
+    // Toward the central path; a sharding-specific failure survives this
+    // pass, a generic one sheds the shard map and replica placement.
     Scenario candidate = best;
     candidate.shards = 1;
     candidate.repl = 1;

@@ -711,13 +711,6 @@ ScenarioResult run_scenario(const Scenario& scenario) {
     std::vector<bool> kill_done(scenario.kills.size(), false);
     std::size_t kills_fired = 0;
     std::uint64_t fallback_at_kill = 0;
-    auto sum_fallback_disk = [&proxies] {
-      std::uint64_t total_fallbacks = 0;
-      for (auto* proxy : proxies) {
-        total_fallbacks += proxy->stats().snapshot().peer_fallback_disk;
-      }
-      return total_fallbacks;
-    };
     while (result.completed + result.rejected < total) {
       const std::int64_t now = clock->now_ns();
       for (std::size_t b = 0; b < scenario.bumps.size(); ++b) {
@@ -735,7 +728,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
           transport->kill_rank(scenario.kills[k].second);
           kill_done[k] = true;
           if (++kills_fired == scenario.kills.size()) {
-            fallback_at_kill = sum_fallback_disk();
+            fallback_at_kill = backend.dms_counters().peer_fallback_disk;
           }
         }
       }
@@ -914,47 +907,43 @@ ScenarioResult run_scenario(const Scenario& scenario) {
       proxy->quiesce();
     }
 
-    // Sharded-DMS aggregates (zero when shards=1: the counters never move).
-    for (auto* proxy : proxies) {
-      const auto counters = proxy->stats().snapshot();
-      result.peer_fetches += counters.peer_fetches;
-      result.peer_pushes += counters.peer_pushes;
-      result.replica_promotions += counters.replica_promotions;
-      result.peer_fallback_disk += counters.peer_fallback_disk;
-      result.stale_replica_rejects += counters.stale_replica_rejects;
-    }
+    // Peer-transfer aggregates (pushes and promotions only when sharded).
+    const auto counters = backend.dms_counters();
+    result.peer_fetches = counters.peer_fetches;
+    result.peer_pushes = counters.peer_pushes;
+    result.replica_promotions = counters.replica_promotions;
+    result.peer_fallback_disk = counters.peer_fallback_disk;
+    result.stale_replica_rejects = counters.stale_replica_rejects;
     if (kills_fired > 0 && kills_fired == scenario.kills.size()) {
       result.peer_fallback_disk_after_kill = result.peer_fallback_disk - fallback_at_kill;
     }
 
     // Replica consistency (oracle 9): whatever path put a block into a
-    // proxy's L1 — own disk load, peer fetch from any replica, unsolicited
-    // push — its bytes must equal the synthetic source's content for that
-    // id. A corrupting serialization bug or a wrong-item reply shows up
-    // here no matter which rank answered.
-    if (scenario.shards > 1) {
-      for (auto* proxy : proxies) {
-        const std::string tag = "replica(proxy " + std::to_string(proxy->id()) + "): ";
-        const auto& l1 = proxy->cache().l1();
-        for (const dms::ItemId id : l1.resident()) {
-          const dms::Blob blob = l1.peek(id);
-          if (!blob) {
-            continue;  // the byte-accounting oracle already flags this
-          }
-          const auto name = backend.data_server().names().lookup(id);
-          if (!name) {
-            note_violation(tag + "resident item " + std::to_string(id) +
-                           " has no name-service entry");
-            continue;
-          }
-          const int block = static_cast<int>(name->params.get_int("block", -1));
-          const util::ByteBuffer want = source->expected(block);
-          if (!(*blob == want)) {
-            note_violation(tag + "item " + std::to_string(id) + " (block " +
-                           std::to_string(block) + ") bytes diverge from the source: " +
-                           std::to_string(blob->size()) + " vs " + std::to_string(want.size()) +
-                           " bytes");
-          }
+    // proxy's L1 — own disk load, peer transfer from any holder or replica,
+    // unsolicited push — its bytes must equal the synthetic source's
+    // content for that id. A corrupting serialization bug or a wrong-item
+    // reply shows up here no matter which rank answered.
+    for (auto* proxy : proxies) {
+      const std::string tag = "replica(proxy " + std::to_string(proxy->id()) + "): ";
+      const auto& l1 = proxy->cache().l1();
+      for (const dms::ItemId id : l1.resident()) {
+        const dms::Blob blob = l1.peek(id);
+        if (!blob) {
+          continue;  // the byte-accounting oracle already flags this
+        }
+        const auto name = backend.data_server().names().lookup(id);
+        if (!name) {
+          note_violation(tag + "resident item " + std::to_string(id) +
+                         " has no name-service entry");
+          continue;
+        }
+        const int block = static_cast<int>(name->params.get_int("block", -1));
+        const util::ByteBuffer want = source->expected(block);
+        if (!(*blob == want)) {
+          note_violation(tag + "item " + std::to_string(id) + " (block " +
+                         std::to_string(block) + ") bytes diverge from the source: " +
+                         std::to_string(blob->size()) + " vs " + std::to_string(want.size()) +
+                         " bytes");
         }
       }
     }

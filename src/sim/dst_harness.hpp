@@ -35,11 +35,11 @@
 ///      workload; no completion ever reports a dataset version older than
 ///      the version current when it was submitted (no stale geometry after
 ///      an invalidation),
-///   9. replica consistency (shards>1 scenarios) — after the run settles,
-///      every block resident in any proxy's L1 is byte-identical to the
-///      synthetic source's content for that id: no matter which replica
-///      served it (owner, promoted survivor, peer push), the bytes are the
-///      ones the original store produced,
+///   9. replica consistency — after the run settles, every block resident
+///      in any proxy's L1 is byte-identical to the synthetic source's
+///      content for that id: no matter which peer served it (holder, owner,
+///      promoted survivor, peer push), the bytes are the ones the original
+///      store produced,
 ///  10. completeness — a successful request delivered workers × partials
 ///      partials, plus the master's final unless fail_rank >= 0 (no success
 ///      with fragments missing, from a live group or a cache replay),
@@ -140,8 +140,9 @@ struct Scenario {
   /// the first min(shards, workers) proxies by consistent hashing and
   /// routes misses proxy→proxy; repl >= 2 replicates each block across
   /// that many owners so kills compose with peer transfer (the replica-
-  /// failover scenarios). The default (1, 1) is the central path, which
-  /// scenario strings without these keys parse to.
+  /// failover scenarios). The default (1, 1) is the central path, where
+  /// the fitness function names peer-transfer holders; scenario strings
+  /// without these keys parse to it.
   int shards = 1;
   int repl = 1;
 
@@ -169,7 +170,8 @@ struct ScenarioResult {
   int max_head_bypass_seen = 0;  ///< vs the scenario's aging bound
   int cache_hits = 0;  ///< completions served from the result cache
 
-  /// Sharded-DMS aggregates (all proxies summed; zero in shards=1 runs).
+  /// Peer-transfer aggregates, all proxies summed (pushes and promotions
+  /// stay zero in shards=1 runs).
   std::uint64_t peer_fetches = 0;
   std::uint64_t peer_pushes = 0;
   std::uint64_t replica_promotions = 0;

@@ -835,6 +835,15 @@ TEST(DataServer, ChoosesPeerWhenAvailable) {
   EXPECT_EQ(decision.peer, 5);
 }
 
+TEST(DataServer, ForgottenProxyIsNeverNamedAgain) {
+  vd::DataServer server;
+  server.report_insert(5, 42);
+  server.forget_proxy(5);       // its rank was declared dead
+  server.report_insert(5, 43);  // a late insert from the dead proxy
+  EXPECT_FALSE(server.holder_of(42, 0).has_value());
+  EXPECT_FALSE(server.holder_of(43, 0).has_value());
+}
+
 TEST(DataServer, FallsBackWhenHolderIsSelf) {
   vd::LoadEnvironment env;
   env.peer_bandwidth = 1e9;
@@ -865,6 +874,9 @@ struct ProxyFixture {
   std::shared_ptr<vd::DataServer> server = std::make_shared<vd::DataServer>();
   std::shared_ptr<FakeSource> source = std::make_shared<FakeSource>();
 
+  /// Peer channel of make_peer's proxies: proxy k on rank k + 1.
+  std::shared_ptr<vira::comm::Transport> wire = std::make_shared<vira::comm::InProcTransport>(3);
+
   std::unique_ptr<vd::DataProxy> make_proxy(int id, std::uint64_t l1 = 1 << 20,
                                             bool async_prefetch = false) {
     vd::DataProxyConfig config;
@@ -873,6 +885,19 @@ struct ProxyFixture {
     config.cache.policy = "fbr";
     config.async_prefetch = async_prefetch;
     return std::make_unique<vd::DataProxy>(config, server, source);
+  }
+
+  /// A proxy connected to `wire`, where peer transfer wins every fitness
+  /// decision a holder makes possible.
+  std::unique_ptr<vd::DataProxy> make_peer(int id) {
+    vd::LoadEnvironment env;
+    env.peer_bandwidth = 1e12;
+    env.disk_bandwidth = 1e6;
+    server->set_environment(env);
+    auto proxy = make_proxy(id);
+    proxy->connect_peers(std::make_shared<vira::comm::Communicator>(wire, id + 1),
+                         std::chrono::milliseconds(200));
+    return proxy;
   }
 };
 
@@ -943,47 +968,55 @@ TEST(DataProxy, AsyncPrefetchEventuallyLands) {
 
 TEST(DataProxy, PeerTransferServesFromOtherProxy) {
   ProxyFixture fx;
-  vd::LoadEnvironment env;
-  env.peer_bandwidth = 1e12;  // make peer transfer irresistible
-  env.disk_bandwidth = 1e6;
-  fx.server->set_environment(env);
-
-  auto proxy_a = fx.make_proxy(0);
-  auto proxy_b = fx.make_proxy(1);
-  // Wire peer fetch: b can peek into a and vice versa.
-  vd::DataProxy* proxies[2] = {proxy_a.get(), proxy_b.get()};
-  auto peer_fetch = [&proxies](int peer, vd::ItemId id) -> vd::Blob {
-    return proxies[peer]->cache().peek(id);
-  };
-  proxy_a->set_peer_fetch(peer_fetch);
-  proxy_b->set_peer_fetch(peer_fetch);
-
+  auto proxy_a = fx.make_peer(0);
+  auto proxy_b = fx.make_peer(1);
   const auto name = item("engine", 3, 2);
   (void)proxy_a->request(name);  // disk load, registers holder
   EXPECT_EQ(fx.source->loads(), 1);
+  const double disk_bandwidth = fx.server->environment().disk_bandwidth;
   (void)proxy_b->request(name);  // must come from proxy A, not disk
   EXPECT_EQ(fx.source->loads(), 1);
   const auto decisions = fx.server->decision_counts();
   EXPECT_GE(decisions.at("peer-transfer"), 1u);
+  // A peer copy is no disk read: the estimate it competes with stays put.
+  EXPECT_EQ(fx.server->environment().disk_bandwidth, disk_bandwidth);
+  // Without a peer channel the same decision reads the disk, no peer tried.
+  auto proxy_c = fx.make_proxy(2);
+  ASSERT_NE(proxy_c->request(name), nullptr);
+  EXPECT_EQ(fx.source->loads(), 2);
+  EXPECT_EQ(proxy_c->stats().snapshot().peer_fallback_disk, 0u);
 }
 
 TEST(DataProxy, PeerRaceFallsBackToDisk) {
   ProxyFixture fx;
-  vd::LoadEnvironment env;
-  env.peer_bandwidth = 1e12;
-  env.disk_bandwidth = 1e6;
-  fx.server->set_environment(env);
-
-  auto proxy_a = fx.make_proxy(0);
-  auto proxy_b = fx.make_proxy(1);
-  // Peer fetch that always fails (cache emptied between decision and fetch).
-  proxy_b->set_peer_fetch([](int, vd::ItemId) -> vd::Blob { return nullptr; });
-
+  auto proxy_a = fx.make_peer(0);
+  auto proxy_b = fx.make_peer(1);
   const auto name = item("engine", 1, 1);
   (void)proxy_a->request(name);
+  proxy_a->cache().clear();  // emptied between decision and fetch: a signed miss
   const auto blob = proxy_b->request(name);  // decision says peer; fetch fails
   ASSERT_NE(blob, nullptr);
   EXPECT_EQ(fx.source->loads(), 2);  // fell back to disk
+  EXPECT_EQ(proxy_b->stats().snapshot().peer_fallback_disk, 1u);
+}
+
+TEST(DataProxy, KilledRankServesNoPeerTransfer) {
+  ProxyFixture fx;
+  auto faulty = std::make_shared<vira::comm::FaultInjectingTransport>(
+      fx.wire, vira::comm::FaultInjectionConfig{});
+  fx.wire = faulty;
+  auto proxy_a = fx.make_peer(0);
+  auto proxy_b = fx.make_peer(1);
+  const auto name = item("engine", 2, 3);
+  (void)proxy_a->request(name);  // A holds the block
+  faulty->kill_rank(1);          // A's rank
+  ASSERT_NE(proxy_b->request(name), nullptr);
+  EXPECT_EQ(fx.source->loads(), 2);  // B read the disk
+  const auto counters = proxy_b->stats().snapshot();
+  EXPECT_EQ(counters.peer_fetch_timeouts, 1u);
+  EXPECT_EQ(counters.peer_fetches, 0u);
+  // The silent holder is no longer named for this item.
+  EXPECT_FALSE(fx.server->holder_of(proxy_b->resolver().resolve(name), 1).has_value());
 }
 
 TEST(DataProxy, LoadFailurePropagatesAndRecovers) {
@@ -1126,7 +1159,9 @@ TEST(DmsStatistics, BandwidthObservation) {
   vd::DmsStatistics stats;
   stats.record_load(1000000, 0.5);
   stats.record_load(1000000, 0.5);
-  EXPECT_NEAR(stats.observed_load_bandwidth(), 2e6, 1.0);
+  const auto counters = stats.snapshot();
+  EXPECT_EQ(counters.bytes_loaded, 2000000u);
+  EXPECT_NEAR(counters.load_seconds, 1.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -1650,28 +1685,19 @@ namespace {
 /// `workers` proxies over one in-process wire, ownership consistently hashed
 /// across the first `members` of them with replication `repl` — the same
 /// wiring core::Backend does, minus scheduler and workers.
-struct ShardedFixture {
-  std::shared_ptr<vd::DataServer> server = std::make_shared<vd::DataServer>();
-  std::shared_ptr<FakeSource> source = std::make_shared<FakeSource>();
-  std::shared_ptr<vira::comm::InProcTransport> transport;
-  std::shared_ptr<vira::comm::Transport> wire;
+struct ShardedFixture : ProxyFixture {
   vd::ShardMap routes;  ///< reference copy for the tests' own ownership queries
   std::vector<std::unique_ptr<vd::DataProxy>> proxies;
 
   ShardedFixture(int workers, int members, int repl,
                  const vira::comm::FaultInjectionConfig* faults = nullptr)
-      : transport(std::make_shared<vira::comm::InProcTransport>(workers + 1)),
-        wire(faults ? std::static_pointer_cast<vira::comm::Transport>(
-                          std::make_shared<vira::comm::FaultInjectingTransport>(transport, *faults))
-                    : transport),
-        routes(shard_config(members, repl)) {
+      : routes(shard_config(members, repl)) {
+    wire = std::make_shared<vira::comm::InProcTransport>(workers + 1);
+    if (faults) {
+      wire = std::make_shared<vira::comm::FaultInjectingTransport>(wire, *faults);
+    }
     for (int index = 0; index < workers; ++index) {
-      vd::DataProxyConfig config;
-      config.proxy_id = index;
-      config.cache.l1_capacity_bytes = 1 << 20;
-      config.cache.policy = "fbr";
-      config.async_prefetch = false;
-      auto proxy = std::make_unique<vd::DataProxy>(config, server, source);
+      auto proxy = make_proxy(index);
       proxy->configure_sharding(std::make_shared<vd::ShardMap>(shard_config(members, repl)),
                                 std::make_shared<vira::comm::Communicator>(wire, index + 1),
                                 std::chrono::milliseconds(50));

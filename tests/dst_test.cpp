@@ -14,8 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "comm/client_link.hpp"
 #include "comm/communicator.hpp"
 #include "comm/fault_transport.hpp"
+#include "core/protocol.hpp"
+#include "core/scheduler.hpp"
 #include "core/vmb_data_source.hpp"
 #include "dms/data_proxy.hpp"
 #include "dms/data_server.hpp"
@@ -360,6 +363,55 @@ TEST(DstFaultTest, WorkerKillIsRecoveredByRetry) {
   // Two workers survive and the width-2 request is retried onto them.
   EXPECT_EQ(result.succeeded, 1);
   EXPECT_EQ(result.degraded, 1);
+}
+
+TEST(DstFaultTest, IdleBeatOvertakingADelayedDoneReportCostsNoRetry) {
+  // Rank 1 is driven by hand. It finishes its order 60 ms after dispatch,
+  // past the 50 ms idle grace, then beats "idle" every 10 ms while its done
+  // report is held back 30 ms, as a delaying transport may do. The
+  // scheduler must wait for the report, not abandon the finished group.
+  GlobalVirtualClock clock;
+  auto transport = std::make_shared<comm::InProcTransport>(2);
+  core::SchedulerConfig config;
+  config.idle_grace = std::chrono::milliseconds(50);
+  core::Scheduler scheduler(transport, 1, std::make_shared<dms::DataServer>(), config);
+  auto [client, server_side] = comm::make_inproc_link_pair(scheduler.nudger());
+  scheduler.attach_client(server_side);
+  std::thread loop = util::spawn_thread("sched", [&] { scheduler.run(); });
+
+  comm::Communicator rank1(transport, 1);
+  const auto send = [&](int tag, const auto& body) {
+    util::ByteBuffer payload;
+    body.serialize(payload);
+    rank1.send(0, tag, std::move(payload));
+  };
+  const auto beat = [&](std::uint64_t current, int times) {
+    for (int n = 0; n < times; ++n) {
+      send(core::kTagHeartbeat, core::Heartbeat{1, current});
+      clock->sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+  comm::Message submit;
+  submit.tag = core::kTagSubmit;
+  core::CommandRequest{1, "hand.driven", {}, 0}.serialize(submit.payload);
+  client->send(std::move(submit));
+
+  if (auto order = rank1.try_recv(0, core::kTagExecute, std::chrono::milliseconds(100))) {
+    const std::uint64_t id = core::ExecuteOrder::deserialize(order->payload).request_id;
+    beat(id, 6);  // executing
+    util::ByteBuffer fragment;  // an empty final result
+    core::FragmentHeader{id, 0, 0}.serialize(fragment);
+    fragment.write<std::uint64_t>(0);
+    rank1.send(0, core::kTagFinalResult, std::move(fragment));
+    beat(0, 3);  // finished; the done report is still on the wire
+    send(core::kTagWorkerDone, core::WorkerReport{id, 1, true, "", {}, 1});
+    clock->sleep_for(std::chrono::milliseconds(100));
+  }
+  scheduler.stop();
+  clock->join_thread(loop);
+  EXPECT_EQ(scheduler.total_retries(), 0u) << "the finished group was abandoned";
+  EXPECT_EQ(scheduler.active_groups() + scheduler.queued_requests(), 0u)
+      << "the request never completed";
 }
 
 // --- Pipelined executor under DST --------------------------------------------
