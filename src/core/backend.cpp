@@ -171,6 +171,7 @@ dms::DmsCounters Backend::dms_counters() const {
     total.misses += counters.misses;
     total.prefetch_issued += counters.prefetch_issued;
     total.prefetch_useful += counters.prefetch_useful;
+    total.prefetch_wasted += counters.prefetch_wasted;
     total.inflight_waits += counters.inflight_waits;
     total.evictions_l1 += counters.evictions_l1;
     total.evictions_l2 += counters.evictions_l2;

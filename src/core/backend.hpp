@@ -113,7 +113,8 @@ class Backend {
   /// Drops every proxy's cache (cold-start switch).
   void clear_caches();
 
-  /// Merged DMS counters over all proxies.
+  /// Merged DMS counters over all proxies. The async_* pipeline fields stay
+  /// zero: they are per proxy (worker_proxy(i).stats()).
   dms::DmsCounters dms_counters() const;
 
  private:

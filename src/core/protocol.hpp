@@ -43,7 +43,6 @@ enum WorkerTag : int {
   kTagWorkerDone = 1001,  ///< worker → scheduler: WorkerReport
   kTagStream = 1002,      ///< worker → scheduler: fragment to forward
   kTagFinalResult = 1003, ///< master worker → scheduler: merged result
-  kTagWorkerError = 1004, ///< worker → scheduler: error text
   kTagShutdown = 1005,    ///< scheduler → worker: exit the loop
   kTagProgressUp = 1006,  ///< worker → scheduler: progress fraction
   kTagHeartbeat = 1007,   ///< worker → scheduler: Heartbeat (liveness)

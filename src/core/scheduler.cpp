@@ -131,7 +131,6 @@ std::function<void()> Scheduler::nudger() {
 }
 
 void Scheduler::run() {
-  running_ = true;
   {
     // Workers have had no chance to speak yet; restart the death clocks so
     // construction-to-run delay cannot count against them.
@@ -141,7 +140,7 @@ void Scheduler::run() {
     }
   }
   VIRA_INFO("scheduler") << "serving " << worker_count_ << " workers";
-  while (running_) {
+  while (!stopped_) {
     // A tick that took client work dispatches it without the idle wait: a
     // queued cache hit is then served in the tick that picked it up.
     const bool client_work = poll_clients();
@@ -162,7 +161,7 @@ void Scheduler::run() {
   VIRA_INFO("scheduler") << "stopped";
 }
 
-void Scheduler::stop() { running_ = false; }
+void Scheduler::stop() { stopped_ = true; }
 
 std::size_t Scheduler::free_workers() const {
   return free_count_.load(std::memory_order_relaxed);
@@ -259,10 +258,8 @@ bool Scheduler::poll_clients() {
           for (auto qit = pending_.begin(); qit != pending_.end(); ++qit) {
             if (qit->client == client && qit->request.request_id == client_request) {
               // The request never dispatched, but the client still holds a
-              // ResultStream on it: close it out with kTagError +
-              // kTagComplete (mirroring the in-flight-cancel path in
-              // recover_group) — erasing silently left wait() hanging
-              // until its timeout.
+              // ResultStream on it: answer it as failed — erasing silently
+              // left wait() hanging until its timeout.
               fail_pending(*qit, "request cancelled");
               pending_.erase(qit);
               break;
@@ -310,9 +307,6 @@ void Scheduler::poll_workers(bool idle) {
         break;
       case kTagWorkerDone:
         handle_done(*msg);
-        break;
-      case kTagWorkerError:
-        handle_error(*msg);
         break;
       case kTagProgressUp:
         handle_progress(*msg);
@@ -388,10 +382,6 @@ void Scheduler::handle_stream(comm::Message& msg, bool final) {
   } else {
     ++group.partial_packets;
   }
-  // Translate the internal id back to the client's own request id: the
-  // id is the first u64 of the serialized FragmentHeader.
-  const std::uint64_t client_request = group.request.request_id;
-  std::memcpy(msg.payload.data(), &client_request, sizeof(client_request));
   if (group.capture) {
     group.capture_bytes += msg.payload.size();
     if (group.capture_bytes > config_.result_cache.max_entry_bytes) {
@@ -406,15 +396,7 @@ void Scheduler::handle_stream(comm::Message& msg, bool final) {
       group.captured.push_back(std::move(fragment));
     }
   }
-  metrics().fragments.add();
-  auto send_span = obs::Tracer::instance().start("link.send", client_request, /*rank=*/0,
-                                                 group.span.context().span_id);
-  if (send_span.active()) {
-    send_span.arg("bytes", static_cast<std::int64_t>(msg.payload.size()));
-    send_span.arg("partition", header.partition);
-  }
-  send_to_client(group.client, final ? kTagFinal : kTagPartial, std::move(msg.payload),
-                 client_request, send_span.context().span_id);
+  forward(group, final, std::move(msg.payload), group.span.context().span_id);
   // A fragment its sender's done report overtook may be the last one due.
   if (group_complete(group)) {
     finish_group(header.request_id);
@@ -475,13 +457,24 @@ bool Scheduler::group_complete(const Group& group) const {
   return true;
 }
 
-void Scheduler::handle_error(comm::Message& msg) {
-  const auto request_id = msg.payload.read<std::uint64_t>();
-  auto it = groups_.find(request_id);
-  if (it != groups_.end()) {
-    it->second.failed = true;
-    it->second.error = msg.payload.read_string();
+void Scheduler::forward(const Request& record, bool final, util::ByteBuffer payload,
+                        std::uint64_t parent_span) {
+  // The request id is the first u64 of the serialized FragmentHeader, the
+  // partition the i32 after it: workers stamp the internal id (and a cache
+  // entry whichever id it was recorded under), the client wants its own.
+  const std::uint64_t client_request = record.request.request_id;
+  std::memcpy(payload.data(), &client_request, sizeof(client_request));
+  metrics().fragments.add();
+  auto send_span =
+      obs::Tracer::instance().start("link.send", client_request, /*rank=*/0, parent_span);
+  if (send_span.active()) {
+    std::int32_t partition = 0;
+    std::memcpy(&partition, payload.data() + sizeof(client_request), sizeof(partition));
+    send_span.arg("bytes", static_cast<std::int64_t>(payload.size()));
+    send_span.arg("partition", partition);
   }
+  send_to_client(record.client, final ? kTagFinal : kTagPartial, std::move(payload),
+                 client_request, send_span.context().span_id);
 }
 
 void Scheduler::handle_progress(comm::Message& msg) {
@@ -619,71 +612,24 @@ void Scheduler::recover_group(std::uint64_t internal_id, const std::string& reas
   // frees it. Members whose heartbeats already say they are NOT executing
   // this request (lost order / already finished) return to the pool now —
   // no done report is coming from them.
+  abort_members(internal_id, group);
   for (const int rank : group.ranks) {
-    if (group.done_ranks.count(rank) || dead_.count(rank)) {
-      continue;
-    }
-    util::ByteBuffer abort_payload;
-    abort_payload.write<std::uint64_t>(internal_id);
-    comm_.send(rank, kTagGroupAbort, std::move(abort_payload));
-    if (left_request(rank, internal_id, group.dispatched_at)) {
+    if (!group.done_ranks.count(rank) && !dead_.count(rank) &&
+        left_request(rank, internal_id, group.dispatched_at)) {
       free_.insert(rank);
     }
   }
 
   by_client_.erase(std::make_pair(group.client, group.request.request_id));
 
-  if (group.cancelled) {
-    // The client walked away from this request already; don't spend a
-    // retry on it, just close it out — kTagError first so the failed
-    // completion is never silent (same contract as every other failure
-    // path; the DST terminal oracle checks it).
-    group.failed = true;
-    group.error = "request cancelled; " + reason;
-    CommandStats stats;
-    stats.request_id = group.request.request_id;
+  if (group.cancelled || group.attempt >= config_.max_retries) {
+    // A cancelled request is closed out without spending a retry on it.
+    CommandStats stats = stats_of(group, group.total_seconds());
     stats.success = false;
-    stats.error = group.error;
-    stats.total_runtime = group.total_seconds();
-    stats.workers = group.width;
-    stats.requested_workers = group.requested_workers > 0 ? group.requested_workers : group.width;
-    stats.retries = static_cast<std::uint32_t>(group.attempt);
-    util::ByteBuffer error_payload;
-    error_payload.write<std::uint64_t>(group.request.request_id);
-    error_payload.write_string(group.error);
-    send_to_client(group.client, kTagError, std::move(error_payload));
-    util::ByteBuffer payload;
-    stats.serialize(payload);
-    send_to_client(group.client, kTagComplete, std::move(payload));
-    groups_.erase(it);
-    return;
-  }
-
-  if (group.attempt >= config_.max_retries) {
-    group.failed = true;
-    group.error = "request failed after " + std::to_string(group.attempt + 1) +
-                  " attempts: " + reason;
-    // finish_group needs pending bookkeeping ignored; report directly.
-    CommandStats stats;
-    stats.request_id = group.request.request_id;
-    stats.success = false;
-    stats.error = group.error;
-    stats.total_runtime = group.total_seconds();
-    stats.latency = group.first_packet_seconds >= 0.0 ? group.first_packet_seconds
-                                                      : stats.total_runtime;
-    stats.partial_packets = group.partial_packets;
-    stats.result_bytes = group.result_bytes;
-    stats.workers = group.width;
-    stats.requested_workers = group.requested_workers > 0 ? group.requested_workers : group.width;
-    stats.retries = static_cast<std::uint32_t>(group.attempt);
-    stats.phase_seconds = group.phase_seconds;
-    util::ByteBuffer error_payload;
-    error_payload.write<std::uint64_t>(group.request.request_id);
-    error_payload.write_string(group.error);
-    send_to_client(group.client, kTagError, std::move(error_payload));
-    util::ByteBuffer payload;
-    stats.serialize(payload);
-    send_to_client(group.client, kTagComplete, std::move(payload));
+    stats.error = group.cancelled ? "request cancelled; " + reason
+                                  : "request failed after " + std::to_string(group.attempt + 1) +
+                                        " attempts: " + reason;
+    answer(group, stats, group.span.context().span_id);
     groups_.erase(it);
     return;
   }
@@ -691,26 +637,18 @@ void Scheduler::recover_group(std::uint64_t internal_id, const std::string& reas
   total_retries_.fetch_add(1);
   metrics().retries.add();
 
-  PendingRequest retry;
-  retry.client = group.client;
-  retry.attempt = group.attempt + 1;
-  // The group width is pinned across retries: partition k of a narrower or
-  // wider group would cover a different share of the data and break the
-  // fragment identity the dedup set relies on.
-  retry.width = group.width;
-  retry.requested_workers = group.requested_workers;
-  retry.enqueued_at = util::clock_now();
-  retry.queue_span = obs::Tracer::instance().start("sched.queue", group.request.request_id,
-                                                   /*rank=*/0, group.request.parent_span);
-  retry.not_before =
-      util::clock_now() + config_.retry_backoff * (1 << std::min(group.attempt, 16));
-  retry.elapsed_before = group.total_seconds();
-  retry.first_packet_seconds = group.first_packet_seconds;
-  retry.partial_packets = group.partial_packets;
-  retry.result_bytes = group.result_bytes;
-  retry.phase_seconds = std::move(group.phase_seconds);
-  retry.seen_fragments = std::move(group.seen_fragments);
-  retry.request = std::move(group.request);
+  // The record moves whole into the retry. Its width stays pinned: partition
+  // k of a narrower or wider group would cover a different share of the
+  // data and break the fragment identity the dedup set relies on.
+  const auto now = util::clock_now();
+  const double elapsed = group.total_seconds();
+  PendingRequest retry(std::move(group));
+  retry.elapsed_before = elapsed;
+  retry.not_before = now + config_.retry_backoff * (1 << std::min(retry.attempt, 16));
+  ++retry.attempt;
+  retry.enqueued_at = now;
+  retry.queue_span = obs::Tracer::instance().start("sched.queue", retry.request.request_id,
+                                                   /*rank=*/0, retry.request.parent_span);
 
   // Tell the client the request is running degraded (attempt count so far).
   util::ByteBuffer degraded;
@@ -723,34 +661,74 @@ void Scheduler::recover_group(std::uint64_t internal_id, const std::string& reas
   pending_.push_front(std::move(retry));
 }
 
+void Scheduler::abort_members(std::uint64_t internal_id, const Group& group) {
+  for (const int rank : group.ranks) {
+    if (group.done_ranks.count(rank) || dead_.count(rank)) {
+      continue;
+    }
+    util::ByteBuffer abort_payload;
+    abort_payload.write<std::uint64_t>(internal_id);
+    comm_.send(rank, kTagGroupAbort, std::move(abort_payload));
+  }
+}
+
+CommandStats Scheduler::stats_of(const Request& record, double seconds) {
+  CommandStats stats;
+  stats.request_id = record.request.request_id;
+  stats.total_runtime = seconds;
+  stats.latency = record.first_packet_seconds >= 0.0 ? record.first_packet_seconds : seconds;
+  stats.partial_packets = record.partial_packets;
+  stats.result_bytes = record.result_bytes;
+  stats.workers = record.width;
+  stats.requested_workers = record.requested_workers > 0 ? record.requested_workers : record.width;
+  stats.retries = static_cast<std::uint32_t>(record.attempt);
+  stats.phase_seconds = record.phase_seconds;
+  stats.data_version = record.cache_version;
+  return stats;
+}
+
+void Scheduler::answer(const Request& record, const CommandStats& stats,
+                       std::uint64_t trace_span) {
+  const std::uint64_t client_request = record.request.request_id;
+  if (!stats.success) {
+    util::ByteBuffer error_payload;
+    error_payload.write<std::uint64_t>(client_request);
+    error_payload.write_string(stats.error);
+    send_to_client(record.client, kTagError, std::move(error_payload), client_request,
+                   trace_span);
+  }
+  util::ByteBuffer payload;
+  stats.serialize(payload);
+  send_to_client(record.client, kTagComplete, std::move(payload), client_request, trace_span);
+
+  metrics().requests.add();
+  metrics().runtime.observe(stats.total_runtime);
+  metrics().latency.observe(stats.latency);
+  if (stats.degraded()) {
+    metrics().degraded.add();
+  }
+  if (!stats.success) {
+    metrics().failed.add();
+  }
+  VIRA_DEBUG("scheduler") << "request " << client_request << " (client " << record.client
+                          << ") " << (stats.success ? "finished" : "failed") << " in "
+                          << stats.total_runtime << "s (latency " << stats.latency
+                          << "s, retries " << stats.retries
+                          << (stats.cache_hit ? ", cache hit" : "") << ")";
+}
+
 void Scheduler::finish_group(std::uint64_t internal_id) {
   auto it = groups_.find(internal_id);
   Group& group = it->second;
-
-  CommandStats stats;
-  stats.request_id = group.request.request_id;
+  CommandStats stats = stats_of(group, group.total_seconds());
   stats.success = !group.failed;
   stats.error = group.error;
-  stats.total_runtime = group.total_seconds();
-  stats.latency = group.first_packet_seconds >= 0.0 ? group.first_packet_seconds
-                                                    : stats.total_runtime;
-  stats.partial_packets = group.partial_packets;
-  stats.result_bytes = group.result_bytes;
-  stats.workers = static_cast<int>(group.ranks.size());
-  stats.requested_workers =
-      group.requested_workers > 0 ? group.requested_workers : stats.workers;
-  stats.retries = static_cast<std::uint32_t>(group.attempt);
-  stats.phase_seconds = group.phase_seconds;
-  if (result_cache_) {
-    stats.data_version = group.cache_version;
-  }
 
-  // Admission: only a fully successful, non-degraded, non-cancelled
-  // first-attempt stream is memoized, and only while the dataset version
-  // it was keyed under is still current. After a mid-flight version bump
-  // the entry's key is unreachable anyway; dropping it beats storing it.
-  if (result_cache_ && group.capture && !group.failed && !group.cancelled &&
-      !group.reaped && group.attempt == 0 &&
+  // Admission: only a fully successful, non-cancelled captured stream (a
+  // first attempt; see start_group) is memoized, and only while the dataset
+  // version it was keyed under is still current. After a mid-flight version
+  // bump the entry's key is unreachable anyway; dropping it beats storing it.
+  if (group.capture && !group.failed && !group.cancelled &&
       group.cache_version == current_data_version()) {
     CachedResult entry;
     entry.key = group.cache_key;
@@ -764,32 +742,7 @@ void Scheduler::finish_group(std::uint64_t internal_id) {
     result_cache_->insert(std::move(entry));
   }
 
-  if (group.failed) {
-    util::ByteBuffer error_payload;
-    error_payload.write<std::uint64_t>(group.request.request_id);
-    error_payload.write_string(group.error);
-    send_to_client(group.client, kTagError, std::move(error_payload),
-                   group.request.request_id, group.span.context().span_id);
-  }
-  util::ByteBuffer payload;
-  stats.serialize(payload);
-  send_to_client(group.client, kTagComplete, std::move(payload),
-                 group.request.request_id, group.span.context().span_id);
-
-  metrics().requests.add();
-  metrics().runtime.observe(stats.total_runtime);
-  metrics().latency.observe(stats.latency);
-  if (stats.degraded()) {
-    metrics().degraded.add();
-  }
-  if (group.failed) {
-    metrics().failed.add();
-  }
-
-  VIRA_DEBUG("scheduler") << "request " << group.request.request_id << " (client "
-                          << group.client << ") finished in " << stats.total_runtime
-                          << "s (latency " << stats.latency << "s, retries "
-                          << stats.retries << ")";
+  answer(group, stats, group.span.context().span_id);
   by_client_.erase(std::make_pair(group.client, group.request.request_id));
   groups_.erase(it);
 }
@@ -797,26 +750,10 @@ void Scheduler::finish_group(std::uint64_t internal_id) {
 void Scheduler::fail_pending(PendingRequest& entry, const std::string& reason) {
   VIRA_WARN("scheduler") << "request " << entry.request.request_id << " (client "
                          << entry.client << ") failed: " << reason;
-  CommandStats stats;
-  stats.request_id = entry.request.request_id;
+  CommandStats stats = stats_of(entry, entry.elapsed_before);
   stats.success = false;
   stats.error = reason;
-  stats.total_runtime = entry.elapsed_before;
-  stats.latency =
-      entry.first_packet_seconds >= 0.0 ? entry.first_packet_seconds : entry.elapsed_before;
-  stats.partial_packets = entry.partial_packets;
-  stats.result_bytes = entry.result_bytes;
-  stats.workers = entry.width;
-  stats.requested_workers = entry.requested_workers > 0 ? entry.requested_workers : entry.width;
-  stats.retries = static_cast<std::uint32_t>(entry.attempt);
-  stats.phase_seconds = entry.phase_seconds;
-  util::ByteBuffer error_payload;
-  error_payload.write<std::uint64_t>(entry.request.request_id);
-  error_payload.write_string(reason);
-  send_to_client(entry.client, kTagError, std::move(error_payload));
-  util::ByteBuffer payload;
-  stats.serialize(payload);
-  send_to_client(entry.client, kTagComplete, std::move(payload));
+  answer(entry, stats);
 }
 
 bool Scheduler::client_link_closed(std::size_t client) const {
@@ -850,7 +787,7 @@ void Scheduler::note_dispatch(PendingRequest& entry) {
 /// closed: nobody is left to read the results, so computing them only
 /// steals workers from live clients. In-flight members get a group abort
 /// (idempotent; their done reports free them through handle_done), and the
-/// eventual finish_group sends fall into send_to_client's closed-link drop.
+/// eventual answer falls into send_to_client's closed-link drop.
 void Scheduler::reap_closed_clients() {
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (client_link_closed(it->client)) {
@@ -864,23 +801,17 @@ void Scheduler::reap_closed_clients() {
     }
   }
   for (auto& [internal_id, group] : groups_) {
-    if (group.reaped || group.cancelled || !client_link_closed(group.client)) {
+    if (group.cancelled || !client_link_closed(group.client)) {
       continue;
     }
     VIRA_WARN("scheduler") << "reaping in-flight request " << group.request.request_id
                            << ": client " << group.client << " link closed";
     group.cancelled = true;
-    group.reaped = true;
+    group.failed = true;  // answered as a failure, into the closed link
+    group.error = "client link closed";
     total_reaped_.fetch_add(1);
     metrics().reaped.add();
-    for (const int rank : group.ranks) {
-      if (group.done_ranks.count(rank) || dead_.count(rank)) {
-        continue;
-      }
-      util::ByteBuffer abort_payload;
-      abort_payload.write<std::uint64_t>(internal_id);
-      comm_.send(rank, kTagGroupAbort, std::move(abort_payload));
-    }
+    abort_members(internal_id, group);
   }
 }
 
@@ -912,8 +843,7 @@ void Scheduler::serve_cache_hits() {
       ++it;
       continue;
     }
-    if (!entry.cache_checked) {
-      entry.cache_checked = true;
+    if (entry.cache_key.empty()) {
       entry.cache_key =
           ResultCache::make_key(entry.request.command, entry.request.params, version);
       entry.cache_version = version;
@@ -936,10 +866,10 @@ void Scheduler::serve_cache_hits() {
 
 /// Streams a memoized result back: the recorded kTagPartial/kTagFinal
 /// payloads verbatim (re-addressed to this client's request id), then a
-/// synthesized kTagComplete with cache_hit set. Mirrors the normal
-/// delivery path's metrics and span tree (a synthetic sched.request span
-/// with a result_cache.lookup child) so traces and dashboards see one
-/// consistent shape either way.
+/// kTagComplete with cache_hit set. Mirrors the normal delivery path's
+/// metrics and span tree (a synthetic sched.request span with a
+/// result_cache.lookup child) so traces and dashboards see one consistent
+/// shape either way.
 void Scheduler::replay_cached(PendingRequest& entry, const CachedResult& hit) {
   cache_hits_.fetch_add(1);
   auto span = obs::Tracer::instance().start("sched.request", entry.request.request_id,
@@ -956,27 +886,12 @@ void Scheduler::replay_cached(PendingRequest& entry, const CachedResult& hit) {
       lookup.arg("hit", 1);
     }
   }
-
-  const std::uint64_t client_request = entry.request.request_id;
   for (const auto& fragment : hit.fragments) {
-    util::ByteBuffer payload = fragment.payload;
-    // Re-address the recorded frame: the client's request id is the first
-    // u64 of the serialized FragmentHeader (same rewrite handle_stream
-    // uses on live traffic).
-    std::memcpy(payload.data(), &client_request, sizeof(client_request));
-    metrics().fragments.add();
-    auto send_span = obs::Tracer::instance().start("link.send", client_request, /*rank=*/0,
-                                                   span.context().span_id);
-    if (send_span.active()) {
-      send_span.arg("bytes", static_cast<std::int64_t>(payload.size()));
-    }
-    send_to_client(entry.client, fragment.final ? kTagFinal : kTagPartial,
-                   std::move(payload), client_request, send_span.context().span_id);
+    forward(entry, fragment.final, fragment.payload, span.context().span_id);
   }
 
   CommandStats stats;
-  stats.request_id = client_request;
-  stats.success = true;
+  stats.request_id = entry.request.request_id;
   const double waited =
       std::chrono::duration<double>(util::clock_now() - entry.enqueued_at).count();
   stats.total_runtime = waited;
@@ -985,19 +900,9 @@ void Scheduler::replay_cached(PendingRequest& entry, const CachedResult& hit) {
   stats.result_bytes = hit.result_bytes;
   stats.workers = hit.workers;
   stats.requested_workers = hit.requested_workers;
-  stats.retries = 0;
   stats.cache_hit = true;
   stats.data_version = hit.data_version;
-  util::ByteBuffer payload;
-  stats.serialize(payload);
-  send_to_client(entry.client, kTagComplete, std::move(payload));
-
-  metrics().requests.add();
-  metrics().runtime.observe(stats.total_runtime);
-  metrics().latency.observe(stats.latency);
-  VIRA_DEBUG("scheduler") << "request " << client_request << " (client " << entry.client
-                          << ") served from result cache (" << hit.fragments.size()
-                          << " fragments, " << hit.result_bytes << " bytes)";
+  answer(entry, stats, span.context().span_id);
 }
 
 void Scheduler::dispatch_pending() {
@@ -1179,32 +1084,17 @@ void Scheduler::dispatch_fair_share() {
 void Scheduler::start_group(PendingRequest entry) {
   const std::uint64_t internal_id = next_internal_id_++;
 
-  Group group;
-  group.client = entry.client;
-  group.width = entry.width;
-  group.requested_workers = entry.requested_workers;
-  group.attempt = entry.attempt;
-  group.elapsed_before = entry.elapsed_before;
-  group.first_packet_seconds = entry.first_packet_seconds;
-  group.partial_packets = entry.partial_packets;
-  group.result_bytes = entry.result_bytes;
-  group.phase_seconds = std::move(entry.phase_seconds);
-  group.seen_fragments = std::move(entry.seen_fragments);
-  group.cache_key = std::move(entry.cache_key);
-  group.cache_version = entry.cache_version;
+  Group group(std::move(entry));
   // Capture for memoization: first attempt only (a retry's stream is
   // already half-delivered) and only with dedup on (duplicates in the
   // recording would replay as duplicates).
-  group.capture = result_cache_ != nullptr && entry.attempt == 0 &&
+  group.capture = result_cache_ != nullptr && group.attempt == 0 &&
                   config_.fragment_dedup && !group.cache_key.empty();
-  group.request = std::move(entry.request);
   for (auto it = free_.begin();
-       it != free_.end() && static_cast<int>(group.ranks.size()) < entry.width;) {
+       it != free_.end() && static_cast<int>(group.ranks.size()) < group.width;) {
     group.ranks.push_back(*it);
     it = free_.erase(it);
   }
-  group.master = group.ranks.front();
-  group.timer.restart();
   group.dispatched_at = util::clock_now();
 
   // One span per attempt, parented under the client's submit span; its id
@@ -1234,13 +1124,13 @@ void Scheduler::start_group(PendingRequest entry) {
   order.command = group.request.command;
   order.params = group.request.params;
   order.group_ranks.assign(group.ranks.begin(), group.ranks.end());
-  order.master_rank = group.master;
+  order.master_rank = group.ranks.front();
   order.parent_span = group.span.context().span_id;
   order.trace_request = group.request.request_id;
 
   VIRA_DEBUG("scheduler") << "request " << group.request.request_id << " (client "
                           << group.client << ") -> group of " << group.ranks.size()
-                          << " workers (master " << group.master << ", attempt "
+                          << " workers (master " << group.ranks.front() << ", attempt "
                           << group.attempt + 1 << ")";
 
   for (const int rank : group.ranks) {

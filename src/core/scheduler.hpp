@@ -13,6 +13,9 @@
 /// streamed fragments to the client as they arrive, measures per-request
 /// total runtime and latency on the server side (exactly where the paper
 /// measured), and frees workers when every group member reported done.
+/// A request keeps one record across its attempts, and every outcome (a
+/// finished group, a failure, a cancel, a cache hit) ends in one answer,
+/// which counts it in the sched.* request metrics.
 ///
 /// Queueing model (DESIGN.md "Scheduling & QoS"): dispatch follows a
 /// configurable discipline. The default, SchedPolicy::kFairShare, keeps
@@ -50,7 +53,7 @@
 #include "core/protocol.hpp"
 #include "core/result_cache.hpp"
 #include "obs/tracer.hpp"
-#include "util/timer.hpp"
+#include "util/clock.hpp"
 
 namespace vira::core {
 
@@ -137,8 +140,8 @@ class Scheduler {
   /// Number of live client connections (closed links are pruned lazily).
   std::size_t client_count() const;
 
-  /// Blocks servicing requests until stop(). Sends kTagShutdown to all
-  /// workers on the way out.
+  /// Blocks servicing requests until stop(), or returns at once if stop()
+  /// came first. Sends kTagShutdown to all workers on the way out.
   void run();
   void stop();
 
@@ -182,76 +185,74 @@ class Scheduler {
   /// injectable util clock (virtual under DST, real otherwise).
   using Clock = std::chrono::steady_clock;
 
-  /// A queued request plus everything a retry must carry across attempts.
-  struct PendingRequest {
+  /// One client request across all its attempts: what it asked for, where
+  /// to answer, and everything its answer reports. PendingRequest and Group
+  /// extend it, so a dispatch and a retry each move it whole.
+  struct Request {
     CommandRequest request;
-    std::size_t client = 0;
-    int attempt = 0;  ///< 0 = first dispatch
-    int width = 0;    ///< fixed after the first dispatch (0 = derive)
+    std::size_t client = 0;  ///< index of the submitting client
+    int attempt = 0;         ///< 0 = first dispatch
+    int width = 0;           ///< fixed at the first dispatch (0 = derive)
     /// Width the client asked for before clamping/molding (recorded at the
     /// first dispatch; pinned across retries like width).
     int requested_workers = 0;
+    double elapsed_before = 0.0;  ///< seconds burned by earlier attempts
+    double first_packet_seconds = -1.0;
+    std::uint64_t partial_packets = 0;
+    std::uint64_t result_bytes = 0;
+    std::map<std::string, double> phase_seconds;  ///< summed over members and attempts
+    std::set<std::uint64_t> seen_fragments;       ///< fragment ids already forwarded
+    /// Result-cache key and the dataset version it was made under, set when
+    /// serve_cache_hits first sees the request (empty = not keyed yet). A
+    /// miss carries them into the group so the finished stream can be
+    /// admitted under the same key, and every answer reports the version.
+    std::string cache_key;
+    std::uint64_t cache_version = 0;
+  };
+
+  /// A request waiting in pending_ for workers.
+  struct PendingRequest : Request {
+    PendingRequest() = default;
+    explicit PendingRequest(Request record) : Request(std::move(record)) {}
     /// Times a ready head was bypassed by a backfilled dispatch; compared
     /// against max_head_bypass to age the head into strict priority.
     int bypassed = 0;
     Clock::time_point enqueued_at{};  ///< for queue-wait metrics
     Clock::time_point not_before{};   ///< backoff gate
-    double elapsed_before = 0.0;      ///< seconds burned by earlier attempts
-    double first_packet_seconds = -1.0;
-    std::uint64_t partial_packets = 0;
-    std::uint64_t result_bytes = 0;
-    std::map<std::string, double> phase_seconds;
-    std::set<std::uint64_t> seen_fragments;  ///< fragment ids already forwarded
-    /// Result-cache bookkeeping: an attempt-0 entry is keyed and looked up
-    /// once (serve_cache_hits); a miss carries the key into the group so
-    /// the finished stream can be admitted under the same key.
-    bool cache_checked = false;
-    std::string cache_key;
-    std::uint64_t cache_version = 0;
     /// "sched.queue" span covering enqueue → dispatch/terminal, parented
     /// under the client's request span so queue wait shows up in traces.
     obs::ActiveSpan queue_span;
   };
 
-  struct Group {
-    CommandRequest request;
-    std::size_t client = 0;  ///< index of the submitting client
-    std::vector<int> ranks;
-    int master = -1;
-    int width = 0;
-    int requested_workers = 0;  ///< pre-clamp/pre-mold width (see CommandStats)
-    int attempt = 0;
+  /// One attempt of a request, running on a work group.
+  struct Group : Request {
+    explicit Group(Request record) : Request(std::move(record)) {}
+    std::vector<int> ranks;  ///< partition k runs on ranks[k]; ranks[0] is the master
     bool failed = false;
     std::string error;
+    /// Stop forwarding: the client cancelled, or its link closed.
     bool cancelled = false;
-    bool reaped = false;  ///< cancelled because the client link closed
-    util::WallTimer timer;          ///< this attempt only
     Clock::time_point dispatched_at{};
-    double elapsed_before = 0.0;    ///< earlier attempts
-    double first_packet_seconds = -1.0;
-    std::uint64_t partial_packets = 0;
-    std::uint64_t result_bytes = 0;
-    std::map<std::string, double> phase_seconds;
     std::set<int> done_ranks;  ///< members whose done report arrived
     /// partition -> fragment count from its done report. The group finishes
     /// once every announced (partition, sequence) is in seen_fragments.
     std::map<std::int32_t, std::uint32_t> announced;
     Clock::time_point last_report_at{};
-    std::set<std::uint64_t> seen_fragments;  ///< forwarded, this and earlier attempts
     /// Result-cache capture: every deduplicated fragment forwarded to the
     /// client is copied here (first attempt only); finish_group admits the
     /// sequence under cache_key if the stream ended fully successful.
     bool capture = false;
     std::uint64_t capture_bytes = 0;
     std::vector<CachedResult::Fragment> captured;
-    std::string cache_key;
-    std::uint64_t cache_version = 0;
     /// Per-attempt "sched.request" trace span (parented under the client's
     /// span; a retried request opens a fresh one, so recovery is visible
     /// as a second span tree). Ends when the Group is destroyed.
     obs::ActiveSpan span;
 
-    double total_seconds() const { return elapsed_before + timer.seconds(); }
+    double total_seconds() const {
+      return elapsed_before +
+             std::chrono::duration<double>(util::clock_now() - dispatched_at).count();
+    }
   };
 
   /// True iff a client message was taken (the tick has client work).
@@ -274,12 +275,24 @@ class Scheduler {
   /// formed. Runs at the top of dispatch_pending().
   void serve_cache_hits();
   void replay_cached(PendingRequest& entry, const CachedResult& hit);
+  /// Sends one fragment to the request's client, re-addressed to the
+  /// client's request id, under a "link.send" span child of `parent_span`.
+  void forward(const Request& record, bool final, util::ByteBuffer payload,
+               std::uint64_t parent_span);
+  /// The answer's numbers for a computed request `seconds` after its
+  /// submission (success; a failing caller sets success and error).
+  static CommandStats stats_of(const Request& record, double seconds);
+  /// The one way a request ends: kTagError first if it failed, then
+  /// kTagComplete. Every answer counts in the sched.* request metrics.
+  void answer(const Request& record, const CommandStats& stats, std::uint64_t trace_span = 0);
   void check_liveness();
   /// True once `rank`'s heartbeats have named another request than
   /// `internal_id` for idle_grace since the later of `dispatched_at` and
   /// the change, so a done report delayed behind an "idle" beat lands.
   bool left_request(int rank, std::uint64_t internal_id, Clock::time_point dispatched_at) const;
   void recover_group(std::uint64_t internal_id, const std::string& reason);
+  /// Sends kTagGroupAbort to every member that is neither done nor dead.
+  void abort_members(std::uint64_t internal_id, const Group& group);
   void fail_pending(PendingRequest& entry, const std::string& reason);
   void start_group(PendingRequest entry);
   /// True once every member reported done and, unless the attempt failed
@@ -294,14 +307,15 @@ class Scheduler {
 
   void handle_stream(comm::Message& msg, bool final);
   void handle_done(comm::Message& msg);
-  void handle_error(comm::Message& msg);
   void handle_progress(comm::Message& msg);
   void handle_heartbeat(comm::Message& msg);
 
   comm::Communicator comm_;
   int worker_count_;
   SchedulerConfig config_;
-  std::atomic<bool> running_{false};
+  /// Set by stop(), never cleared: a stop that lands before run() starts
+  /// (a Backend torn down at once) still ends the loop.
+  std::atomic<bool> stopped_{false};
   std::shared_ptr<dms::DataServer> data_server_;
 
   /// Result memoization (nullptr when config_.result_cache.enabled is

@@ -577,6 +577,9 @@ void DataProxy::prefetch_worker() {
   while (auto id = prefetch_queue_.pop()) {
     try {
       prefetch_one(*id);
+    } catch (const comm::TransportClosed&) {
+      // Teardown closed the rank transport under a peer fetch.
+      VIRA_DEBUG("dms") << "prefetch of item " << *id << " dropped: transport shut down";
     } catch (const std::exception& e) {
       VIRA_WARN("dms") << "prefetch of item " << *id << " failed: " << e.what();
     }

@@ -16,6 +16,7 @@
 #include "core/vmb_data_source.hpp"
 #include "dms/data_item.hpp"
 #include "dms/data_source.hpp"
+#include "obs/metrics.hpp"
 #include "util/clock.hpp"
 
 namespace vira::sim {
@@ -534,6 +535,14 @@ ScenarioResult run_scenario(const Scenario& scenario) {
 
   util::set_global_clock(clock.get());
   clock->register_driver();
+  // Oracle 12 reads the scheduler's answer counters as deltas around this
+  // scenario; the fuzzer runs one scenario at a time.
+  const auto answer_count = [](const char* name) {
+    return obs::Registry::instance().counter(name).value();
+  };
+  const std::uint64_t requests_before = answer_count("sched.requests");
+  const std::uint64_t failed_before = answer_count("sched.failed");
+  const std::uint64_t degraded_before = answer_count("sched.degraded");
   {
     // The shipped stack over the shipped fault decorator (one rank for the
     // scheduler and one per worker) and a synthetic source. Its threads are
@@ -664,6 +673,14 @@ ScenarioResult run_scenario(const Scenario& scenario) {
                            " served at dataset version " + std::to_string(stats.data_version) +
                            " < version " + std::to_string(state.version_at_submit) +
                            " current at submission (stale geometry)");
+          }
+          // An answer reports what its client accepted (with dedup off the
+          // scheduler counts the duplicates it forwarded: oracle 1's case).
+          if (scenario.fragment_dedup &&
+              stats.partial_packets != static_cast<std::uint64_t>(state.partials)) {
+            note_violation("answer: request " + std::to_string(stats.request_id) + " reports " +
+                           std::to_string(stats.partial_packets) + " partials, its client " +
+                           "accepted " + std::to_string(state.partials));
           }
           if (stats.success) {
             ++result.succeeded;
@@ -838,6 +855,20 @@ ScenarioResult run_scenario(const Scenario& scenario) {
                        " partials and " + std::to_string(state.finals) + "/" +
                        std::to_string(finals) + " finals");
       }
+    }
+    // Every answer counts once in the scheduler's request metrics: DST
+    // closes no client link, so no counted answer went undelivered.
+    if (!stalled) {
+      const auto check_count = [&](const char* name, std::uint64_t before, int seen) {
+        const std::uint64_t grew = answer_count(name) - before;
+        if (grew != static_cast<std::uint64_t>(seen)) {
+          note_violation(std::string("answer: ") + name + " grew by " + std::to_string(grew) +
+                         ", clients saw " + std::to_string(seen));
+        }
+      };
+      check_count("sched.requests", requests_before, result.completed);
+      check_count("sched.failed", failed_before, result.failed);
+      check_count("sched.degraded", degraded_before, result.degraded);
     }
     if (scenario.drop_rate == 0.0 && scenario.kills.empty() &&
         (scheduler.total_retries() > 0 || scheduler.lost_workers() > 0)) {

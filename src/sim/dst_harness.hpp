@@ -46,6 +46,11 @@
 ///  11. fault freedom — a scenario without drops and kills ends with zero
 ///      retries and zero ranks declared dead (delays and duplicates alone
 ///      must not look like a lost order or a dead worker).
+///  12. answer agreement — every kTagComplete's partial_packets equals the
+///      distinct partials its client accepted, and over the scenario
+///      sched.requests, sched.failed and sched.degraded grow by exactly the
+///      completions, failed completions and retried completions the
+///      clients saw (every answer is counted once, whatever ended it).
 
 #include <cstdint>
 #include <map>

@@ -362,6 +362,25 @@ TEST(Backend, InjectedSourceServesLoadsButNoDatasetMetadata) {
   EXPECT_NE(stats.error.find(".vmb data source"), std::string::npos) << stats.error;
 }
 
+TEST(Backend, MergedDmsCountersIncludePrefetchWaste) {
+  vc::BackendConfig config;
+  config.workers = 1;
+  config.l1_cache_bytes = 16;  // two of ConstantSource's 8-byte items
+  config.cache_policy = "lru";
+  config.async_prefetch = false;
+  vc::Backend backend(config, nullptr, std::make_shared<ConstantSource>());
+  auto& proxy = backend.worker_proxy(0);
+  proxy.configure_prefetcher("obl", vc::make_block_successor(proxy.resolver(), 8, 1, false));
+  // OBL prefetches the two blocks after each demand load into the two-item
+  // L1, so every odd block is evicted by the next prefetch, never requested.
+  for (int block = 0; block < 8; block += 2) {
+    ASSERT_NE(proxy.request(vira::dms::block_item("constant", 0, block)), nullptr);
+  }
+  const auto wasted = proxy.stats().snapshot().prefetch_wasted;
+  EXPECT_GT(wasted, 0u);
+  EXPECT_EQ(backend.dms_counters().prefetch_wasted, wasted);
+}
+
 TEST(Backend, RejectsATransportWithoutARankPerWorker) {
   vc::BackendConfig config;
   config.workers = 2;

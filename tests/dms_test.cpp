@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "dms/shard_map.hpp"
 #include "dms/two_tier_cache.hpp"
 #include "test_util.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace vd = vira::dms;
@@ -889,12 +891,12 @@ struct ProxyFixture {
 
   /// A proxy connected to `wire`, where peer transfer wins every fitness
   /// decision a holder makes possible.
-  std::unique_ptr<vd::DataProxy> make_peer(int id) {
+  std::unique_ptr<vd::DataProxy> make_peer(int id, bool async_prefetch = false) {
     vd::LoadEnvironment env;
     env.peer_bandwidth = 1e12;
     env.disk_bandwidth = 1e6;
     server->set_environment(env);
-    auto proxy = make_proxy(id);
+    auto proxy = make_proxy(id, 1 << 20, async_prefetch);
     proxy->connect_peers(std::make_shared<vira::comm::Communicator>(wire, id + 1),
                          std::chrono::milliseconds(200));
     return proxy;
@@ -1017,6 +1019,28 @@ TEST(DataProxy, KilledRankServesNoPeerTransfer) {
   EXPECT_EQ(counters.peer_fetches, 0u);
   // The silent holder is no longer named for this item.
   EXPECT_FALSE(fx.server->holder_of(proxy_b->resolver().resolve(name), 1).has_value());
+}
+
+TEST(DataProxy, PrefetchCutByTransportShutdownLogsNoWarning) {
+  ProxyFixture fx;
+  auto holder = fx.make_peer(0);
+  auto requester = fx.make_peer(1, /*async_prefetch=*/true);
+  const auto name = item("engine", 4, 1);
+  (void)holder->request(name);  // the fitness function now names the holder
+  fx.wire->shutdown();          // teardown, as Backend::shutdown does
+
+  std::ostringstream sink;
+  auto& logger = vu::Logger::instance();
+  const auto level = logger.level();
+  logger.set_stream(&sink);
+  logger.set_level(vu::LogLevel::kWarn);
+  requester->code_prefetch(name);  // its peer fetch meets the closed transport
+  requester->quiesce();
+  logger.set_stream(nullptr);
+  logger.set_level(level);
+
+  EXPECT_EQ(sink.str().find("WARN"), std::string::npos) << sink.str();
+  EXPECT_EQ(fx.source->loads(), 1);  // the prefetch never fell back to the disk
 }
 
 TEST(DataProxy, LoadFailurePropagatesAndRecovers) {
