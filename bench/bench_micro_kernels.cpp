@@ -4,12 +4,18 @@
 /// isosurface extraction and batched RK4 pathline integration — each timed
 /// against its scalar reference on the same synthetic vortex block.
 ///
+/// A fourth rung times the block decode every command pays before its
+/// kernel: StructuredBlock::deserialize of one Engine-shaped block (22×16×12
+/// nodes, density and pressure) in a loop, in MB of blob per second.
+///
 /// Emits BENCH_kernels.json (per kernel: scalar and SIMD cells/s and the
-/// speedup) and exits non-zero if the λ2 SIMD path fails the ≥2× shape
-/// check. `--smoke` shrinks block sizes and repetitions for CI.
+/// speedup; the decode rate, ungated) and exits non-zero if the λ2 SIMD
+/// path fails the ≥2× shape check. `--smoke` shrinks block sizes and
+/// repetitions for CI.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,20 +29,21 @@
 #include "grid/synthetic.hpp"
 #include "perf/report.hpp"
 #include "simd/simd.hpp"
+#include "util/byte_buffer.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using namespace vira;
 
-grid::StructuredBlock make_vortex_block(int n) {
+grid::StructuredBlock make_vortex_block(int ni, int nj, int nk) {
   grid::LambOseenVortex vortex({0.5, 0.5, 0.5}, {0, 0, 1}, 2.0, 0.15);
-  grid::StructuredBlock block(n, n, n);
-  for (int k = 0; k < n; ++k) {
-    for (int j = 0; j < n; ++j) {
-      for (int i = 0; i < n; ++i) {
+  grid::StructuredBlock block(ni, nj, nk);
+  for (int k = 0; k < nk; ++k) {
+    for (int j = 0; j < nj; ++j) {
+      for (int i = 0; i < ni; ++i) {
         block.set_point(i, j, k,
-                        {i / double(n - 1), j / double(n - 1), k / double(n - 1)});
+                        {i / double(ni - 1), j / double(nj - 1), k / double(nk - 1)});
       }
     }
   }
@@ -65,7 +72,7 @@ struct KernelResult {
 };
 
 KernelResult bench_lambda2(int n, int reps) {
-  auto block = make_vortex_block(n);
+  auto block = make_vortex_block(n, n, n);
   const auto items = static_cast<double>(block.node_count());
   KernelResult r{"lambda2", "nodes_per_sec"};
   r.scalar_rate = items / best_seconds(
@@ -84,7 +91,7 @@ KernelResult bench_lambda2(int n, int reps) {
 }
 
 KernelResult bench_isosurface(int n, int reps, float iso) {
-  auto block = make_vortex_block(n);
+  auto block = make_vortex_block(n, n, n);
   const auto items = static_cast<double>(block.cell_count());
   KernelResult r{"isosurface", "cells_per_sec"};
   r.scalar_rate = items / best_seconds(
@@ -143,7 +150,31 @@ KernelResult bench_pathlines(int seeds, int reps) {
   return r;
 }
 
-void write_json(const std::vector<KernelResult>& results, const char* path) {
+struct DecodeResult {
+  std::uint64_t blob_bytes = 0;
+  double us_per_block = 0.0;
+  double mb_per_s() const { return us_per_block > 0.0 ? blob_bytes / us_per_block : 0.0; }
+};
+
+/// Best-of-`reps` mean time of `iters` back-to-back decodes of one blob.
+/// Each decoded block dies before the next decode, as in a command's loop.
+DecodeResult bench_decode(int iters, int reps) {
+  const auto block = make_vortex_block(22, 16, 12);
+  util::ByteBuffer blob;
+  block.serialize(blob);
+  const double seconds = best_seconds(
+      [&] {
+        for (int i = 0; i < iters; ++i) {
+          util::ByteReader reader(blob.bytes());
+          (void)grid::StructuredBlock::deserialize(reader);
+        }
+      },
+      reps);
+  return {blob.size(), seconds / iters * 1e6};
+}
+
+void write_json(const std::vector<KernelResult>& results, const DecodeResult& decode,
+                const char* path) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"micro_kernels\",\n  \"simd_level\": \""
       << simd::level_name(simd::active_level()) << "\",\n  \"kernels\": [\n";
@@ -157,7 +188,13 @@ void write_json(const std::vector<KernelResult>& results, const char* path) {
                   i + 1 < results.size() ? "," : "");
     out << line;
   }
-  out << "  ]\n}\n";
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "  ],\n  \"decode\": {\"block\": \"22x16x12\", \"blob_bytes\": %llu, "
+                "\"us_per_block\": %.2f, \"mb_per_s\": %.0f}\n}\n",
+                static_cast<unsigned long long>(decode.blob_bytes), decode.us_per_block,
+                decode.mb_per_s());
+  out << line;
 }
 
 }  // namespace
@@ -171,6 +208,7 @@ int main(int argc, char** argv) {
   results.push_back(bench_lambda2(n, reps));
   results.push_back(bench_isosurface(n, reps, 1.18f));
   results.push_back(bench_pathlines(smoke ? 16 : 64, reps));
+  const auto decode = bench_decode(smoke ? 200 : 2000, reps);
 
   perf::print_banner("Extraction micro kernels",
                      "scalar vs SIMD throughput (vira::simd dispatch)", perf::kKernels);
@@ -180,8 +218,11 @@ int main(int argc, char** argv) {
     std::printf("  %-16s %-14s %14.3e %14.3e %8.2fx\n", r.kernel.c_str(), r.unit.c_str(),
                 r.scalar_rate, r.simd_rate, r.speedup());
   }
+  std::printf("\n  block decode (22x16x12, %llu B blob): %.2f us/block, %.0f MB/s\n",
+              static_cast<unsigned long long>(decode.blob_bytes), decode.us_per_block,
+              decode.mb_per_s());
 
-  write_json(results, "BENCH_kernels.json");
+  write_json(results, decode, "BENCH_kernels.json");
   std::printf("\n  wrote BENCH_kernels.json\n");
   perf::print_expectation("lambda2 SIMD >= 2x scalar; all SIMD paths >= ~scalar");
 

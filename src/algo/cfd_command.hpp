@@ -35,8 +35,9 @@ namespace vira::algo {
 /// A decoded, immutable block as the pipeline hands it to compute stages.
 using BlockPtr = std::shared_ptr<const grid::StructuredBlock>;
 
-/// Decodes a DMS blob into a block through a zero-copy read cursor — the
-/// blob's bytes are never duplicated (blobs are immutable once cached).
+/// Decodes a DMS blob into a block: a read cursor straight over the cached
+/// bytes (blobs are immutable once cached) and one copy of the field
+/// region into a recycled slab (StructuredBlock::deserialize).
 grid::StructuredBlock decode_block(const dms::Blob& blob);
 
 /// Round-robin block ownership: worker `rank` (0-based within the group)

@@ -56,7 +56,9 @@ struct CachedResult {
   int requested_workers = 0;
   std::uint64_t partial_packets = 0;
   std::uint64_t result_bytes = 0;
-  double compute_seconds = 0.0;  ///< runtime of the recorded computation
+  /// Runtime of the recorded computation: the final attempt, from its
+  /// dispatch to its last done report (earlier failed attempts excluded).
+  double compute_seconds = 0.0;
   std::vector<Fragment> fragments;
 
   /// Sum of the fragment payload sizes.

@@ -228,7 +228,8 @@ bool Scheduler::poll_clients() {
         }
         PendingRequest entry;
         entry.client = client;
-        entry.enqueued_at = util::clock_now();
+        entry.submitted_at = util::clock_now();
+        entry.enqueued_at = entry.submitted_at;
         entry.queue_span = obs::Tracer::instance().start("sched.queue", request.request_id,
                                                          /*rank=*/0, request.parent_span);
         entry.request = std::move(request);
@@ -375,7 +376,7 @@ void Scheduler::handle_stream(comm::Message& msg, bool final) {
     return;
   }
   if (group.first_packet_seconds < 0.0) {
-    group.first_packet_seconds = group.total_seconds();
+    group.first_packet_seconds = group.seconds_since_submit();
   }
   if (final) {
     group.result_bytes += msg.payload.size();
@@ -624,7 +625,7 @@ void Scheduler::recover_group(std::uint64_t internal_id, const std::string& reas
 
   if (group.cancelled || group.attempt >= config_.max_retries) {
     // A cancelled request is closed out without spending a retry on it.
-    CommandStats stats = stats_of(group, group.total_seconds());
+    CommandStats stats = stats_of(group);
     stats.success = false;
     stats.error = group.cancelled ? "request cancelled; " + reason
                                   : "request failed after " + std::to_string(group.attempt + 1) +
@@ -641,9 +642,7 @@ void Scheduler::recover_group(std::uint64_t internal_id, const std::string& reas
   // k of a narrower or wider group would cover a different share of the
   // data and break the fragment identity the dedup set relies on.
   const auto now = util::clock_now();
-  const double elapsed = group.total_seconds();
   PendingRequest retry(std::move(group));
-  retry.elapsed_before = elapsed;
   retry.not_before = now + config_.retry_backoff * (1 << std::min(retry.attempt, 16));
   ++retry.attempt;
   retry.enqueued_at = now;
@@ -672,7 +671,8 @@ void Scheduler::abort_members(std::uint64_t internal_id, const Group& group) {
   }
 }
 
-CommandStats Scheduler::stats_of(const Request& record, double seconds) {
+CommandStats Scheduler::stats_of(const Request& record) {
+  const double seconds = record.seconds_since_submit();
   CommandStats stats;
   stats.request_id = record.request.request_id;
   stats.total_runtime = seconds;
@@ -720,7 +720,7 @@ void Scheduler::answer(const Request& record, const CommandStats& stats,
 void Scheduler::finish_group(std::uint64_t internal_id) {
   auto it = groups_.find(internal_id);
   Group& group = it->second;
-  CommandStats stats = stats_of(group, group.total_seconds());
+  CommandStats stats = stats_of(group);
   stats.success = !group.failed;
   stats.error = group.error;
 
@@ -737,7 +737,8 @@ void Scheduler::finish_group(std::uint64_t internal_id) {
     entry.requested_workers = stats.requested_workers;
     entry.partial_packets = group.partial_packets;
     entry.result_bytes = group.result_bytes;
-    entry.compute_seconds = stats.total_runtime;
+    entry.compute_seconds =
+        std::chrono::duration<double>(util::clock_now() - group.dispatched_at).count();
     entry.fragments = std::move(group.captured);
     result_cache_->insert(std::move(entry));
   }
@@ -750,7 +751,7 @@ void Scheduler::finish_group(std::uint64_t internal_id) {
 void Scheduler::fail_pending(PendingRequest& entry, const std::string& reason) {
   VIRA_WARN("scheduler") << "request " << entry.request.request_id << " (client "
                          << entry.client << ") failed: " << reason;
-  CommandStats stats = stats_of(entry, entry.elapsed_before);
+  CommandStats stats = stats_of(entry);
   stats.success = false;
   stats.error = reason;
   answer(entry, stats);
@@ -892,10 +893,8 @@ void Scheduler::replay_cached(PendingRequest& entry, const CachedResult& hit) {
 
   CommandStats stats;
   stats.request_id = entry.request.request_id;
-  const double waited =
-      std::chrono::duration<double>(util::clock_now() - entry.enqueued_at).count();
-  stats.total_runtime = waited;
-  stats.latency = waited;
+  stats.total_runtime = entry.seconds_since_submit();
+  stats.latency = stats.total_runtime;
   stats.partial_packets = hit.partial_packets;
   stats.result_bytes = hit.result_bytes;
   stats.workers = hit.workers;

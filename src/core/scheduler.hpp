@@ -196,7 +196,9 @@ class Scheduler {
     /// Width the client asked for before clamping/molding (recorded at the
     /// first dispatch; pinned across retries like width).
     int requested_workers = 0;
-    double elapsed_before = 0.0;  ///< seconds burned by earlier attempts
+    /// First enqueue. Every answer counts its seconds from here, so they
+    /// cover queue waits, retry backoffs and every attempt.
+    Clock::time_point submitted_at{};
     double first_packet_seconds = -1.0;
     std::uint64_t partial_packets = 0;
     std::uint64_t result_bytes = 0;
@@ -208,6 +210,10 @@ class Scheduler {
     /// admitted under the same key, and every answer reports the version.
     std::string cache_key;
     std::uint64_t cache_version = 0;
+
+    double seconds_since_submit() const {
+      return std::chrono::duration<double>(util::clock_now() - submitted_at).count();
+    }
   };
 
   /// A request waiting in pending_ for workers.
@@ -248,11 +254,6 @@ class Scheduler {
     /// span; a retried request opens a fresh one, so recovery is visible
     /// as a second span tree). Ends when the Group is destroyed.
     obs::ActiveSpan span;
-
-    double total_seconds() const {
-      return elapsed_before +
-             std::chrono::duration<double>(util::clock_now() - dispatched_at).count();
-    }
   };
 
   /// True iff a client message was taken (the tick has client work).
@@ -279,9 +280,9 @@ class Scheduler {
   /// client's request id, under a "link.send" span child of `parent_span`.
   void forward(const Request& record, bool final, util::ByteBuffer payload,
                std::uint64_t parent_span);
-  /// The answer's numbers for a computed request `seconds` after its
+  /// The answer's numbers for a computed request, timed from its
   /// submission (success; a failing caller sets success and error).
-  static CommandStats stats_of(const Request& record, double seconds);
+  static CommandStats stats_of(const Request& record);
   /// The one way a request ends: kTagError first if it failed, then
   /// kTagComplete. Every answer counts in the sched.* request metrics.
   void answer(const Request& record, const CommandStats& stats, std::uint64_t trace_span = 0);

@@ -438,7 +438,7 @@ Blob DataProxy::fetch_from_peer(int peer, ItemId id, std::uint64_t min_version,
       return nullptr;
     }
     version_out = reply.version;
-    return make_blob(std::move(reply.bytes));
+    return reply.blob;
   }
 }
 
@@ -451,7 +451,7 @@ void DataProxy::push_to_owners(ItemId id, const Blob& blob, const std::vector<in
     PeerPush push;
     push.id = id;
     push.version = version;
-    push.bytes = util::ByteBuffer::copy_of(blob->data(), blob->size());
+    push.blob = blob;
     util::ByteBuffer payload;
     push.serialize(payload);
     peer_comm_->send(owner + 1, comm::kTagPeerPush, std::move(payload));
@@ -504,7 +504,7 @@ void DataProxy::serve_peer_fetch(const comm::Message& msg) {
     } else {
       reply.found = 1;
       reply.version = version;
-      reply.bytes = util::ByteBuffer::copy_of(blob->data(), blob->size());
+      reply.blob = std::move(blob);
     }
   }
   util::ByteBuffer out;
@@ -518,8 +518,7 @@ void DataProxy::apply_peer_push(comm::Message& msg) {
   if (push.version < data_version_.load(std::memory_order_acquire)) {
     return;  // the push crossed a bump on the wire; its bytes are already stale
   }
-  Blob blob = make_blob(std::move(push.bytes));
-  cache_->put(push.id, blob, /*from_prefetch=*/false);
+  cache_->put(push.id, push.blob, /*from_prefetch=*/false);
   stamp_version(push.id, push.version);
   server_->report_insert(config_.proxy_id, push.id);
 }

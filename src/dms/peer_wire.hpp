@@ -52,24 +52,32 @@ struct PeerBlockReply {
   std::uint64_t seq = 0;
   std::uint8_t found = 0;
   std::uint64_t version = 0;
-  util::ByteBuffer bytes;  ///< blob content; empty when found == 0
+  Blob blob;  ///< blob content; null when found == 0
 
+  /// The header and the blob's bytes go straight into one payload reserved
+  /// to its final size: the cached blob is not copied into a reply first.
   void serialize(util::ByteBuffer& out) const {
+    const std::uint64_t size = blob ? blob->size() : 0;
+    out.reserve(out.size() + 3 * sizeof(std::uint64_t) + sizeof(std::uint8_t) + size);
     out.write<std::uint64_t>(seq);
     out.write<std::uint8_t>(found);
     out.write<std::uint64_t>(version);
-    out.write<std::uint64_t>(bytes.size());
-    out.write_raw(bytes.data(), bytes.size());
+    out.write<std::uint64_t>(size);
+    if (blob) {
+      out.write_raw(blob->data(), size);
+    }
   }
+  /// Throws std::out_of_range, before allocating, when the size field
+  /// exceeds what the payload holds.
   static PeerBlockReply deserialize(util::ByteBuffer& in) {
     PeerBlockReply r;
     r.seq = in.read<std::uint64_t>();
     r.found = in.read<std::uint8_t>();
     r.version = in.read<std::uint64_t>();
-    const auto size = in.read<std::uint64_t>();
-    std::vector<std::byte> raw(size);
-    in.read_raw(raw.data(), size);
-    r.bytes = util::ByteBuffer(std::move(raw));
+    auto bytes = in.read_bytes(in.read<std::uint64_t>());
+    if (r.found != 0) {
+      r.blob = make_blob(std::move(bytes));
+    }
     return r;
   }
 };
@@ -80,22 +88,24 @@ struct PeerBlockReply {
 struct PeerPush {
   ItemId id = 0;
   std::uint64_t version = 0;
-  util::ByteBuffer bytes;
+  Blob blob;
 
+  /// One payload reserved to its final size, as PeerBlockReply.
   void serialize(util::ByteBuffer& out) const {
+    const std::uint64_t size = blob ? blob->size() : 0;
+    out.reserve(out.size() + 3 * sizeof(std::uint64_t) + size);
     out.write<std::uint64_t>(id);
     out.write<std::uint64_t>(version);
-    out.write<std::uint64_t>(bytes.size());
-    out.write_raw(bytes.data(), bytes.size());
+    out.write<std::uint64_t>(size);
+    if (blob) {
+      out.write_raw(blob->data(), size);
+    }
   }
   static PeerPush deserialize(util::ByteBuffer& in) {
     PeerPush p;
     p.id = in.read<std::uint64_t>();
     p.version = in.read<std::uint64_t>();
-    const auto size = in.read<std::uint64_t>();
-    std::vector<std::byte> raw(size);
-    in.read_raw(raw.data(), size);
-    p.bytes = util::ByteBuffer(std::move(raw));
+    p.blob = make_blob(in.read_bytes(in.read<std::uint64_t>()));
     return p;
   }
 };

@@ -9,7 +9,9 @@ namespace vira::grid {
 
 namespace {
 
-constexpr std::uint32_t kIndexMagic = 0x564d4931;  // "VMI1"
+/// "VMI2": the index of a dataset whose .vmb files hold VMB2 block blobs.
+/// ensure_dataset regenerates a cache whose index carries another version.
+constexpr std::uint32_t kIndexMagic = 0x564d4932;
 
 void serialize_aabb(util::ByteBuffer& out, const Aabb& box) {
   out.write<double>(box.lo.x);

@@ -16,15 +16,16 @@
 /// of walking a std::map<std::string, ...> per access — the lookup cost the
 /// old array-of-structs layout paid in scalar_at/interpolate_scalar.
 ///
-/// The SoA layout is a *memory* layout only: blocks serialize to exactly
-/// the same wire blob as before (interleaved xyz points/velocity, scalars
-/// in name-sorted order), so cached DMS blobs, peer transfer and DST
-/// trajectories are unaffected.
+/// The block blob (StructuredBlock::serialize) carries the same layout: each
+/// array with its zero pad, one after another from a 64-byte offset. A
+/// decode copies that whole region once into one slab (acquire_slab) and
+/// points every array at its slice of it.
 
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -44,14 +45,44 @@ inline constexpr std::size_t kFieldPadFloats = kFieldAlignment / sizeof(float);
 using FieldId = std::uint32_t;
 inline constexpr FieldId kInvalidFieldId = 0xffffffffu;
 
+/// Floats an array of logical size `n` occupies: `n` rounded up to a
+/// multiple of kFieldPadFloats.
+inline std::size_t padded_floats(std::size_t n) {
+  return (n + kFieldPadFloats - 1) / kFieldPadFloats * kFieldPadFloats;
+}
+
+/// A 64-byte-aligned allocation of `floats` floats (contents undefined) that
+/// several AlignedFloats slices share. When the last owner lets go, the slab
+/// goes back to a one-entry slot of the thread that let go, and that thread's
+/// next acquire_slab of the same size reuses it instead of asking malloc;
+/// the slot is freed at thread exit. Recycling keeps a decode from leaving
+/// a freed slab per block in malloc's arenas, which shows as peak RSS.
+std::shared_ptr<float> acquire_slab(std::size_t floats);
+
 /// A 64-byte-aligned, pad-to-cache-line float array. The logical size is
 /// what the grid sees; the physical allocation rounds up to kFieldPadFloats
 /// and keeps the pad zeroed so unmasked SIMD tails are safe to read.
+///
+/// The array either owns its allocation or is a slice of a shared slab
+/// (slice()). A slice is never shared between two blocks, so writing
+/// through it is safe. Copying either kind gives an owned deep copy; a move
+/// keeps the slab owner; assign() on a slice first drops the slice.
 class AlignedFloats {
  public:
   AlignedFloats() = default;
   explicit AlignedFloats(std::size_t n, float fill = 0.0f) { assign(n, fill); }
   ~AlignedFloats() { release(); }
+
+  /// Views `n` floats at `data` (64-byte aligned, followed by a zeroed pad
+  /// to padded_floats(n)) inside the slab `owner` keeps alive.
+  static AlignedFloats slice(std::shared_ptr<float> owner, float* data, std::size_t n) {
+    AlignedFloats out;
+    out.data_ = data;
+    out.size_ = n;
+    out.padded_ = padded_floats(n);
+    out.owner_ = std::move(owner);
+    return out;
+  }
 
   AlignedFloats(const AlignedFloats& other) { *this = other; }
   AlignedFloats& operator=(const AlignedFloats& other) {
@@ -64,7 +95,10 @@ class AlignedFloats {
     return *this;
   }
   AlignedFloats(AlignedFloats&& other) noexcept
-      : data_(other.data_), size_(other.size_), padded_(other.padded_) {
+      : data_(other.data_),
+        size_(other.size_),
+        padded_(other.padded_),
+        owner_(std::move(other.owner_)) {
     other.data_ = nullptr;
     other.size_ = 0;
     other.padded_ = 0;
@@ -75,6 +109,7 @@ class AlignedFloats {
       data_ = other.data_;
       size_ = other.size_;
       padded_ = other.padded_;
+      owner_ = std::move(other.owner_);
       other.data_ = nullptr;
       other.size_ = 0;
       other.padded_ = 0;
@@ -101,13 +136,19 @@ class AlignedFloats {
 
  private:
   void release() noexcept {
-    std::free(data_);
+    if (owner_) {
+      owner_.reset();
+    } else {
+      std::free(data_);
+    }
     data_ = nullptr;
+    padded_ = 0;
   }
 
   float* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t padded_ = 0;
+  std::shared_ptr<float> owner_;  ///< set iff data_ is a slice of a shared slab
 };
 
 /// Name-interning structure-of-arrays store for the named node scalars of
@@ -132,6 +173,8 @@ class FieldStore {
 
   /// Interns `name`, creating a zero-filled field on first use.
   FieldId ensure(std::string_view name);
+  /// Interns a new field `name` holding `values` (nodes() floats).
+  FieldId add(std::string_view name, AlignedFloats values);
 
   const std::string& name(FieldId id) const { return names_[id]; }
   /// Field names in sorted order (the serialization order).

@@ -36,33 +36,13 @@ void corner_weight_gradients(double u, double v, double w, std::array<double, 8>
   dw = {-iu * iv, -u * iv, -u * v, -iu * v, iu * iv, u * iv, u * v, iu * v};
 }
 
-constexpr std::uint32_t kBlockMagic = 0x564d4231;  // "VMB1"
+constexpr std::uint32_t kBlockMagic = 0x564d4232;  // "VMB2"
+/// Arrays every blob carries ahead of its scalars: px py pz vx vy vz.
+constexpr std::uint64_t kGeometryArrays = 6;
 
-/// Splits an interleaved xyz float payload into three component arrays.
-/// Reads through memcpy: the wire bytes carry no alignment guarantee, so a
-/// reinterpret_cast load would be UB (and trip the UBSan leg).
-void deinterleave3(std::span<const std::byte> src, std::size_t n, float* x, float* y,
-                   float* z) {
-  const std::byte* cursor = src.data();
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    float xyz[3];
-    std::memcpy(xyz, cursor, sizeof(xyz));
-    cursor += sizeof(xyz);
-    x[idx] = xyz[0];
-    y[idx] = xyz[1];
-    z[idx] = xyz[2];
-  }
-}
-
-/// Inverse of deinterleave3: rebuilds the interleaved wire payload.
-void interleave3(const float* x, const float* y, const float* z, std::size_t n,
-                 std::vector<float>& out) {
-  out.resize(n * 3);
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    out[idx * 3] = x[idx];
-    out[idx * 3 + 1] = y[idx];
-    out[idx * 3 + 2] = z[idx];
-  }
+/// Zero bytes that pad a blob's header out to a kFieldAlignment offset.
+std::size_t header_pad(std::size_t header_bytes) {
+  return (kFieldAlignment - header_bytes % kFieldAlignment) % kFieldAlignment;
 }
 
 }  // namespace
@@ -366,37 +346,37 @@ StructuredBlock StructuredBlock::coarsened(int stride) const {
 }
 
 void StructuredBlock::serialize(util::ByteBuffer& out) const {
+  // VMB2: header, zero pad to a 64-byte offset from the blob's start, then
+  // px py pz vx vy vz and the scalars in name order, each padded_size()
+  // floats with its zero pad: FieldStore's memory layout, so a decode is
+  // one copy (see deserialize).
+  const std::size_t start = out.size();
   out.write<std::uint32_t>(kBlockMagic);
   out.write<std::int32_t>(ni_);
   out.write<std::int32_t>(nj_);
   out.write<std::int32_t>(nk_);
   out.write<std::int32_t>(block_id_);
   out.write<double>(time_);
-  // Wire format predates the SoA layout: positions/velocity travel
-  // interleaved and scalars in sorted-name order (what the old std::map
-  // iteration produced), so blobs stay byte-identical across versions.
-  const auto n = static_cast<std::size_t>(node_count());
-  std::vector<float> interleaved;
-  interleave3(px_.data(), py_.data(), pz_.data(), n, interleaved);
-  out.write_vector(interleaved);
-  interleave3(vx_.data(), vy_.data(), vz_.data(), n, interleaved);
-  out.write_vector(interleaved);
   const auto names = fields_.sorted_names();
   out.write<std::uint32_t>(static_cast<std::uint32_t>(names.size()));
   for (const auto& name : names) {
     out.write_string(name);
-    const auto values = fields_.values(fields_.find(name));
-    out.write<std::uint64_t>(values.size());
-    if (!values.empty()) {
-      out.write_raw(values.data(), values.size() * sizeof(float));
-    }
+  }
+  static constexpr std::byte kZeros[kFieldAlignment] = {};
+  out.write_raw(kZeros, header_pad(out.size() - start));
+  for (const AlignedFloats* array : {&px_, &py_, &pz_, &vx_, &vy_, &vz_}) {
+    out.write_raw(array->data(), array->padded_size() * sizeof(float));
+  }
+  for (const auto& name : names) {
+    const AlignedFloats& array = fields_.array(fields_.find(name));
+    out.write_raw(array.data(), array.padded_size() * sizeof(float));
   }
 }
 
 StructuredBlock StructuredBlock::deserialize(util::ByteBuffer& in) {
-  // Delegate to the zero-copy cursor core, then advance the buffer's read
-  // position by however much the cursor consumed so call sites that keep
-  // reading past the block still work.
+  // Decode through a cursor over the unread bytes, then advance the
+  // buffer's read position by what the cursor consumed so call sites that
+  // keep reading past the block still work.
   util::ByteReader reader(in);
   StructuredBlock block = deserialize(reader);
   in.seek(in.read_pos() + reader.pos());
@@ -404,55 +384,78 @@ StructuredBlock StructuredBlock::deserialize(util::ByteBuffer& in) {
 }
 
 StructuredBlock StructuredBlock::deserialize(util::ByteReader& in) {
-  const auto magic = in.read<std::uint32_t>();
-  if (magic != kBlockMagic) {
+  const std::size_t start = in.pos();
+  if (in.read<std::uint32_t>() != kBlockMagic) {
     throw std::runtime_error("StructuredBlock::deserialize: bad magic");
   }
-  const auto ni = in.read<std::int32_t>();
-  const auto nj = in.read<std::int32_t>();
-  const auto nk = in.read<std::int32_t>();
-  StructuredBlock block(ni, nj, nk);
+  StructuredBlock block;
+  block.ni_ = in.read<std::int32_t>();
+  block.nj_ = in.read<std::int32_t>();
+  block.nk_ = in.read<std::int32_t>();
   block.block_id_ = in.read<std::int32_t>();
   block.time_ = in.read<double>();
-
-  // De-interleave the xyz payloads directly from the source bytes into the
-  // aligned SoA arrays — no intermediate interleaved vector.
-  const auto n = static_cast<std::size_t>(block.node_count());
-  auto read_interleaved = [&](float* x, float* y, float* z) {
-    const auto count = in.read<std::uint64_t>();
-    if (count != n * 3) {
-      throw std::runtime_error("StructuredBlock::deserialize: truncated payload");
-    }
-    deinterleave3(in.view(count * sizeof(float)), n, x, y, z);
-  };
-  read_interleaved(block.px_.data(), block.py_.data(), block.pz_.data());
-  read_interleaved(block.vx_.data(), block.vy_.data(), block.vz_.data());
-
-  const auto nscalars = in.read<std::uint32_t>();
-  for (std::uint32_t s = 0; s < nscalars; ++s) {
-    const std::string name = in.read_string();
-    const auto count = in.read<std::uint64_t>();
-    if (count != n) {
-      throw std::runtime_error("StructuredBlock::deserialize: scalar size mismatch");
-    }
-    const auto values = block.scalar(name);
-    const auto src = in.view(count * sizeof(float));
-    std::memcpy(values.data(), src.data(), src.size());
+  if (block.ni_ < 2 || block.nj_ < 2 || block.nk_ < 2) {
+    throw std::runtime_error("StructuredBlock::deserialize: each dimension needs >= 2 nodes");
   }
-  block.bounds_dirty_ = true;
+  const auto nscalars = in.read<std::uint32_t>();
+  // Every name costs at least its 8-byte length, so a count the bytes
+  // cannot hold is refused before anything is sized by it.
+  if (nscalars > in.remaining() / sizeof(std::uint64_t)) {
+    throw std::out_of_range("StructuredBlock::deserialize: scalar count exceeds the blob");
+  }
+  std::vector<std::string> names;
+  names.reserve(nscalars);
+  for (std::uint32_t s = 0; s < nscalars; ++s) {
+    names.push_back(in.read_string());
+    if (s > 0 && !(names[s - 1] < names[s])) {
+      throw std::runtime_error("StructuredBlock::deserialize: scalar names not sorted");
+    }
+  }
+  in.view(header_pad(in.pos() - start));
+
+  // Size the field region against the bytes present before allocating:
+  // the blob may come from a peer, and ni*nj*nk of garbage dims overflows.
+  const std::uint64_t arrays = kGeometryArrays + nscalars;
+  const std::uint64_t max_floats = in.remaining() / sizeof(float) / arrays;
+  const std::uint64_t plane = static_cast<std::uint64_t>(block.ni_) * block.nj_;
+  if (plane > max_floats / static_cast<std::uint64_t>(block.nk_)) {
+    throw std::out_of_range("StructuredBlock::deserialize: dimensions exceed the blob");
+  }
+  const auto nodes = static_cast<std::size_t>(plane * block.nk_);
+  const std::size_t padded = padded_floats(nodes);
+  const auto region = in.view(padded * arrays * sizeof(float));
+
+  // One copy into one slab; every field is a slice of it. Pads are zeroed
+  // again so the kernels' pad contract holds whatever the blob carried.
+  auto slab = acquire_slab(padded * arrays);
+  std::memcpy(slab.get(), region.data(), region.size());
+  float* cursor = slab.get();
+  const auto take = [&] {
+    std::fill(cursor + nodes, cursor + padded, 0.0f);
+    auto array = AlignedFloats::slice(slab, cursor, nodes);
+    cursor += padded;
+    return array;
+  };
+  for (AlignedFloats* array :
+       {&block.px_, &block.py_, &block.pz_, &block.vx_, &block.vy_, &block.vz_}) {
+    *array = take();
+  }
+  block.fields_.reset(block.node_count());
+  for (const auto& name : names) {
+    block.fields_.add(name, take());
+  }
   return block;
 }
 
 std::uint64_t StructuredBlock::serialized_size() const {
-  const auto n = static_cast<std::uint64_t>(node_count());
-  std::uint64_t size = 4 + 4 * 4 + 8;       // header
-  size += 8 + n * 3 * sizeof(float);        // points
-  size += 8 + n * 3 * sizeof(float);        // velocity
-  size += 4;                                // scalar count
-  for (const auto& name : fields_.sorted_names()) {
-    size += 8 + name.size() + 8 + n * sizeof(float);
+  std::uint64_t header = 4 + 4 * 4 + 8 + 4;  // magic, dims, id, time, scalar count
+  const auto names = fields_.sorted_names();
+  for (const auto& name : names) {
+    header += 8 + name.size();
   }
-  return size;
+  header += header_pad(header);
+  const auto padded = static_cast<std::uint64_t>(padded_floats(static_cast<std::size_t>(node_count())));
+  return header + (kGeometryArrays + names.size()) * padded * sizeof(float);
 }
 
 }  // namespace vira::grid

@@ -20,9 +20,9 @@
 /// A block serializes to a flat byte blob — that blob is exactly the "data
 /// item" the DMS caches and ships between nodes without understanding its
 /// structure (Sec. 4: raw data and manipulation methods are separated).
-/// The wire layout is unchanged from the array-of-structs era (interleaved
-/// xyz payloads, scalars in name-sorted order), so cached blobs and DST
-/// trajectories are byte-identical; SoA is a memory layout only.
+/// The blob (format VMB2) carries the SoA layout itself: a header, then
+/// every array with its zero pad from a 64-byte offset, scalars in
+/// name-sorted order. Decoding is one copy into one recycled slab.
 
 #include <array>
 #include <cstdint>
@@ -212,11 +212,19 @@ class StructuredBlock {
   StructuredBlock coarsened(int stride) const;
 
   /// --- serialization ----------------------------------------------------------
+  /// Appends the VMB2 blob: magic "VMB2", ni nj nk, block id, time, scalar
+  /// count and sorted scalar names, zero-padded to a 64-byte offset from
+  /// the blob's start; then px py pz vx vy vz and the scalars in name order,
+  /// each as padded_size() floats.
   void serialize(util::ByteBuffer& out) const;
+  /// Decodes one blob at the buffer's read position and advances it.
   static StructuredBlock deserialize(util::ByteBuffer& in);
-  /// Zero-copy variant: decodes through a non-owning cursor (e.g. straight
-  /// over a cached DMS blob), de-interleaving payloads directly into the
-  /// aligned SoA arrays without intermediate vector copies.
+  /// Decodes one blob at the cursor (e.g. straight over a cached DMS blob):
+  /// checks the header against the bytes present, copies the whole field
+  /// region once into a slab from acquire_slab, re-zeroes every pad and
+  /// points each field at its slice. Throws std::runtime_error for a
+  /// foreign or malformed header and std::out_of_range for a blob shorter
+  /// than its header claims, before allocating anything sized by it.
   static StructuredBlock deserialize(util::ByteReader& in);
 
   /// Bytes the serialized form occupies (header + payloads).

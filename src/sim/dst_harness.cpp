@@ -651,6 +651,8 @@ ScenarioResult run_scenario(const Scenario& scenario) {
           terminal.success = stats.success;
           terminal.cache_hit = stats.cache_hit;
           terminal.data_version = stats.data_version;
+          terminal.total_runtime = stats.total_runtime;
+          terminal.latency = stats.latency;
           ++result.completed;
           if (stats.cache_hit) {
             ++result.cache_hits;

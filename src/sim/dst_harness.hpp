@@ -200,6 +200,8 @@ struct ScenarioResult {
     bool rejected = false;
     bool cache_hit = false;             ///< served from the result cache
     std::uint64_t data_version = 0;     ///< version the result was computed against
+    double total_runtime = 0.0;         ///< CommandStats, submission → completion
+    double latency = 0.0;               ///< CommandStats, submission → first packet
   };
   std::map<std::uint64_t, Terminal> terminals;
   comm::FaultInjectionStats faults;

@@ -2,19 +2,14 @@
 
 namespace vira::util {
 
-ByteBuffer ByteBuffer::copy_of(const void* src, std::size_t size) {
-  ByteBuffer buffer;
-  buffer.write_raw(src, size);
-  return buffer;
-}
-
 void ByteBuffer::write_raw(const void* src, std::size_t size) {
   if (size == 0) {
     return;
   }
-  const std::size_t offset = data_.size();
-  data_.resize(offset + size);
-  std::memcpy(data_.data() + offset, src, size);
+  // insert, not resize + memcpy: resize would zero-fill what the copy
+  // overwrites at once.
+  const auto* bytes = static_cast<const std::byte*>(src);
+  data_.insert(data_.end(), bytes, bytes + size);
 }
 
 void ByteBuffer::write_string(const std::string& s) {
@@ -30,7 +25,9 @@ void ByteBuffer::seek(std::size_t pos) {
 }
 
 void ByteBuffer::check_available(std::size_t size) const {
-  if (read_pos_ + size > data_.size()) {
+  // Compared against what is left: read_pos_ + size can wrap for an
+  // untrusted on-wire size.
+  if (size > data_.size() - read_pos_) {
     throw std::out_of_range("ByteBuffer: read past end (want " + std::to_string(size) +
                             " bytes, have " + std::to_string(data_.size() - read_pos_) + ")");
   }
@@ -43,6 +40,14 @@ void ByteBuffer::read_raw(void* dst, std::size_t size) {
   check_available(size);
   std::memcpy(dst, data_.data() + read_pos_, size);
   read_pos_ += size;
+}
+
+ByteBuffer ByteBuffer::read_bytes(std::size_t size) {
+  check_available(size);
+  const auto first = data_.begin() + static_cast<std::ptrdiff_t>(read_pos_);
+  ByteBuffer out(std::vector<std::byte>(first, first + static_cast<std::ptrdiff_t>(size)));
+  read_pos_ += size;
+  return out;
 }
 
 std::string ByteBuffer::read_string() {

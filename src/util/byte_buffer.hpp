@@ -25,9 +25,6 @@ class ByteBuffer {
   ByteBuffer() = default;
   explicit ByteBuffer(std::vector<std::byte> data) : data_(std::move(data)) {}
 
-  /// Wraps a copy of raw memory.
-  static ByteBuffer copy_of(const void* src, std::size_t size);
-
   std::size_t size() const noexcept { return data_.size(); }
   bool empty() const noexcept { return data_.empty(); }
   const std::byte* data() const noexcept { return data_.data(); }
@@ -77,6 +74,11 @@ class ByteBuffer {
 
   std::string read_string();
 
+  /// The next `size` bytes as a buffer of their own. The size is checked
+  /// against the bytes left before anything is allocated (it may come off
+  /// the wire), and the bytes are copied once, without a zero-fill.
+  ByteBuffer read_bytes(std::size_t size);
+
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
@@ -105,8 +107,8 @@ class ByteBuffer {
 /// Non-owning read cursor over a span of immutable bytes.
 ///
 /// Mirrors ByteBuffer's read API without copying the underlying storage —
-/// the zero-copy decode path reads DMS blobs (immutable once cached)
-/// through this view instead of deep-copying them just to get a cursor.
+/// the block decode path reads DMS blobs (immutable once cached) through
+/// this view instead of deep-copying them just to get a cursor.
 /// The caller must keep the referenced memory alive for the reader's
 /// lifetime.
 class ByteReader {
@@ -160,8 +162,9 @@ class ByteReader {
   }
 
   /// Zero-copy view of the next `size` bytes, advancing the cursor. Lets a
-  /// decoder transform a payload (e.g. de-interleave xyz into SoA arrays)
-  /// straight out of a cached blob without an intermediate vector copy.
+  /// decoder copy a payload (e.g. a block's field region into its slab)
+  /// straight out of a cached blob, or skip padding, without an
+  /// intermediate vector.
   std::span<const std::byte> view(std::size_t size) {
     check_available(size);
     const auto out = bytes_.subspan(pos_, size);

@@ -679,7 +679,7 @@ TEST(BlockDistribution, OwnsPositionPartitionsExhaustively) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy block decode
+// Block decode from a shared blob
 // ---------------------------------------------------------------------------
 
 TEST(DecodeBlock, DecodesFromSharedBlobWithoutMutatingIt) {

@@ -19,6 +19,7 @@
 #include "dms/data_server.hpp"
 #include "dms/loading.hpp"
 #include "dms/name_service.hpp"
+#include "dms/peer_wire.hpp"
 #include "dms/prefetcher.hpp"
 #include "dms/shard_map.hpp"
 #include "dms/two_tier_cache.hpp"
@@ -1756,6 +1757,35 @@ bool same_bytes(const vd::Blob& a, const vd::Blob& b) {
 }
 
 }  // namespace
+
+TEST(ShardedDms, PeerBlockReplyWireLayoutAndOversizedSizeField) {
+  vira::util::ByteBuffer content;
+  content.write<std::uint64_t>(0x1122334455667788ULL);
+  content.write<std::uint8_t>(9);
+  vd::PeerBlockReply reply;
+  reply.seq = 3;
+  reply.found = 1;
+  reply.version = 5;
+  reply.blob = vd::make_blob(content);
+  vira::util::ByteBuffer wire;
+  reply.serialize(wire);
+  // seq, found, version, size, then the blob's bytes as they are cached.
+  ASSERT_EQ(wire.size(), 8u + 1u + 8u + 8u + content.size());
+  EXPECT_EQ(std::memcmp(wire.data() + 25, content.data(), content.size()), 0);
+  auto parsed = vd::PeerBlockReply::deserialize(wire);
+  EXPECT_EQ(parsed.seq, 3u);
+  EXPECT_EQ(parsed.version, 5u);
+  ASSERT_TRUE(parsed.blob);
+  EXPECT_EQ(*parsed.blob, content);
+
+  // A size field past the payload's end is refused before any allocation
+  // (a terabyte here), as is one that wraps the read position.
+  for (const std::uint64_t size : {std::uint64_t{10}, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    vira::util::ByteBuffer corrupt = wire;
+    std::memcpy(corrupt.data() + 17, &size, sizeof(size));
+    EXPECT_THROW(vd::PeerBlockReply::deserialize(corrupt), std::out_of_range) << size;
+  }
+}
 
 TEST(ShardedDms, PeerFetchRoundTripServesFromOwner) {
   ShardedFixture fx(2, 2, 1);

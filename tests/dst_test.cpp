@@ -267,6 +267,31 @@ TEST(DstEventWaitTest, ClientSendWakesTheSchedulerAtOnce) {
   EXPECT_EQ(result.terminals.at(1).at_ns, 8 * kMs);
 }
 
+TEST(DstEventWaitTest, AnswerTimesCountTheQueueWait) {
+  // One worker, two 100 ms requests submitted together: the second waits
+  // for the first, so its runtime is its 100 ms queue wait plus its own
+  // 100 ms run, as the client sees it, not the run alone.
+  sim::Scenario scenario;
+  scenario.seed = 5;
+  scenario.workers = 1;
+  sim::DstRequest request;
+  request.width = 1;
+  request.partials = 1;
+  request.item_sleep_us = 100'000;
+  scenario.requests = {request, request};
+
+  const auto result = sim::run_scenario(scenario);
+  EXPECT_TRUE(result.ok()) << (result.violations.empty() ? "" : result.violations.front());
+  ASSERT_EQ(result.succeeded, 2);
+  const auto& first = result.terminals.at(1);
+  const auto& second = result.terminals.at(2);
+  EXPECT_DOUBLE_EQ(first.total_runtime, 0.1);
+  EXPECT_DOUBLE_EQ(second.total_runtime, 0.2);
+  EXPECT_DOUBLE_EQ(second.latency, 0.2);  // its one packet is its final one
+  // The client's own clock agrees, up to its 1 ms receive poll.
+  EXPECT_NEAR(second.total_runtime, static_cast<double>(second.at_ns) / 1e9, 1e-3);
+}
+
 // --- Scenario encoding -------------------------------------------------------
 
 TEST(DstScenarioTest, StringRoundtripIsIdentity) {

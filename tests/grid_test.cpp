@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "grid/analytic_fields.hpp"
 #include "grid/bsp_tree.hpp"
@@ -120,6 +125,156 @@ TEST(StructuredBlock, DeserializeRejectsGarbage) {
   vira::util::ByteBuffer buf;
   buf.write<std::uint32_t>(0xbadc0de);
   EXPECT_THROW(vg::StructuredBlock::deserialize(buf), std::runtime_error);
+}
+
+namespace {
+
+/// Every array of two blocks, compared float for float over the nodes.
+void expect_same_fields(const vg::StructuredBlock& a, const vg::StructuredBlock& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.scalar_names(), b.scalar_names());
+  const auto same = [](std::span<const float> x, std::span<const float> y) {
+    return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+  };
+  EXPECT_TRUE(same(a.points_x(), b.points_x()));
+  EXPECT_TRUE(same(a.points_y(), b.points_y()));
+  EXPECT_TRUE(same(a.points_z(), b.points_z()));
+  EXPECT_TRUE(same(a.velocity_x(), b.velocity_x()));
+  EXPECT_TRUE(same(a.velocity_y(), b.velocity_y()));
+  EXPECT_TRUE(same(a.velocity_z(), b.velocity_z()));
+  for (const auto& name : a.scalar_names()) {
+    EXPECT_TRUE(same(a.scalar(name), b.scalar(name))) << name;
+  }
+}
+
+/// A 5x3x7 block (105 nodes, not a multiple of 16) with density, pressure
+/// and an extra scalar, every value distinct.
+vg::StructuredBlock make_odd_block() {
+  auto block = make_box_block(5, 3, 7, 0.05, 9);
+  vg::sample_fields(block, vg::AbcFlow(), 0.3);
+  auto extra = block.scalar("zeta");
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    extra[i] = 0.5f + static_cast<float>(i);
+  }
+  block.set_block_id(4);
+  block.set_time(2.5);
+  return block;
+}
+
+vira::util::ByteBuffer blob_of(const vg::StructuredBlock& block) {
+  vira::util::ByteBuffer blob;
+  block.serialize(blob);
+  return blob;
+}
+
+vg::StructuredBlock decode(const vira::util::ByteBuffer& blob) {
+  vira::util::ByteReader reader(blob.bytes());
+  return vg::StructuredBlock::deserialize(reader);
+}
+
+}  // namespace
+
+TEST(StructuredBlock, RoundTripOfAnOddNodeCountWithAnExtraScalar) {
+  const auto block = make_odd_block();
+  const auto blob = blob_of(block);
+  EXPECT_EQ(blob.size(), block.serialized_size());
+  // A 75-byte header padded to 128, then 6 + 3 arrays of 112 floats each
+  // (105 nodes padded to a multiple of 16).
+  EXPECT_EQ(blob.size(), 128u + 9u * 112u * sizeof(float));
+  const auto restored = decode(blob);
+  EXPECT_EQ(restored.block_id(), 4);
+  EXPECT_DOUBLE_EQ(restored.time(), 2.5);
+  EXPECT_EQ(restored.ni(), 5);
+  EXPECT_EQ(restored.nj(), 3);
+  EXPECT_EQ(restored.nk(), 7);
+  EXPECT_EQ(restored.scalar_names(), (std::vector<std::string>{"density", "pressure", "zeta"}));
+  expect_same_fields(block, restored);
+  EXPECT_EQ(restored.bounds().lo.x, block.bounds().lo.x);
+
+  // A decoded block is an ordinary one: a copy is deep, a new field and
+  // edits land in it alone.
+  auto edited = restored;
+  edited.set_scalar_at("zeta", 0, 0, 0, -1.0f);
+  edited.scalar("added")[3] = 7.0f;
+  EXPECT_EQ(restored.scalar_at("zeta", 0, 0, 0), 0.5f);
+  EXPECT_FALSE(restored.has_scalar("added"));
+  EXPECT_EQ(edited.scalar("added")[3], 7.0f);
+}
+
+TEST(StructuredBlock, DeserializeRejectsMalformedBlobsBeforeAllocating) {
+  const auto blob = blob_of(make_odd_block());
+  ASSERT_NO_THROW(decode(blob));
+
+  // The array-of-structs format this one replaced ("VMB1") is not read.
+  vira::util::ByteBuffer vmb1;
+  vmb1.write<std::uint32_t>(0x564d4231);
+  for (const std::int32_t value : {5, 3, 7, 4}) {
+    vmb1.write<std::int32_t>(value);
+  }
+  vmb1.write<double>(2.5);
+  vmb1.write<std::uint64_t>(105 * 3);
+  EXPECT_THROW(decode(vmb1), std::runtime_error);
+
+  // One byte short.
+  vira::util::ByteBuffer cut(std::vector<std::byte>(blob.data(), blob.data() + blob.size() - 1));
+  EXPECT_THROW(decode(cut), std::out_of_range);
+
+  // Header fields patched in place: dims at offset 4, scalar count at 28.
+  const auto patched = [&](std::size_t offset, auto value) {
+    vira::util::ByteBuffer copy = blob;
+    std::memcpy(copy.data() + offset, &value, sizeof(value));
+    return copy;
+  };
+  // 2^22 * 2^21 * 2^21 nodes wrap 64 bits to 0: a size computed by
+  // multiplying would ask for no bytes at all and pass.
+  auto overflow = patched(4, std::int32_t{1} << 22);
+  const std::int32_t half = std::int32_t{1} << 21;
+  std::memcpy(overflow.data() + 8, &half, sizeof(half));
+  std::memcpy(overflow.data() + 12, &half, sizeof(half));
+  EXPECT_THROW(decode(overflow), std::out_of_range);
+  EXPECT_THROW(decode(patched(4, std::int32_t{1})), std::runtime_error);
+  EXPECT_THROW(decode(patched(28, std::numeric_limits<std::uint32_t>::max())),
+               std::out_of_range);
+  // Names out of their sorted order ("zensity" before "pressure"): the
+  // arrays would land under the wrong names.
+  EXPECT_THROW(decode(patched(40, 'z')), std::runtime_error);
+}
+
+TEST(StructuredBlock, DecodeAfterDropReusesTheThreadsSlab) {
+  const auto blob = blob_of(make_odd_block());
+  const float* first = nullptr;
+  {
+    const auto block = decode(blob);
+    first = block.points_x().data();
+  }
+  const auto again = decode(blob);
+  EXPECT_EQ(again.points_x().data(), first);
+  // While `again` holds the slab, a second decode gets a slab of its own.
+  const auto other = decode(blob);
+  EXPECT_NE(other.points_x().data(), again.points_x().data());
+  expect_same_fields(again, other);
+}
+
+TEST(StructuredBlock, BlocksDecodedOnOneThreadDropCleanlyOnAnother) {
+  // The dropping thread never decodes: its slab slot must still free what
+  // it parks (the sanitizer legs see a leak or a race otherwise).
+  const auto reference = make_odd_block();
+  const auto blob = blob_of(reference);
+  std::vector<vg::StructuredBlock> decoded;
+  std::thread decoder([&] {
+    for (int n = 0; n < 16; ++n) {
+      decoded.push_back(decode(blob));
+    }
+  });
+  decoder.join();
+  std::thread dropper([&] {
+    for (const auto& block : decoded) {
+      expect_same_fields(reference, block);
+    }
+    decoded.clear();
+  });
+  dropper.join();
+  EXPECT_TRUE(decoded.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -449,9 +604,19 @@ TEST(DatasetIo, EnsureDatasetRegeneratesOnlyAnUnreadableCache) {
   EXPECT_EQ(vg::ensure_dataset(dir, generate).block_count(), 2);
   EXPECT_EQ(generated, 2);
 
+  // A well-formed index of the previous version ("VMI1", whose .vmb files
+  // hold the old block format) is regenerated too.
+  auto index = vg::read_file(dir + "/dataset.vmi");
+  const std::uint32_t vmi1 = 0x564d4931;
+  std::memcpy(index.data(), &vmi1, sizeof(vmi1));
+  vg::write_file(dir + "/dataset.vmi", index);
+  EXPECT_EQ(vg::ensure_dataset(dir, generate).block_count(), 2);
+  EXPECT_EQ(generated, 3);
+  EXPECT_NO_THROW(vg::DatasetReader(dir).read_block(0, 1));
+
   // A generator that leaves nothing readable is an error, tried once.
   EXPECT_THROW(vg::ensure_dataset(dir + "_empty", [&] { ++generated; }), std::runtime_error);
-  EXPECT_EQ(generated, 3);
+  EXPECT_EQ(generated, 4);
   std::filesystem::remove_all(dir);
 }
 

@@ -2,8 +2,9 @@
 /// Property tests for the SoA/SIMD extraction path (DESIGN.md §13): the
 /// SIMD kernels against their scalar references over randomized blocks,
 /// the batch integrator's per-lane bit-identity, the serialize round-trip
-/// that pins the wire blob across the SoA refactor, and the alignment /
-/// padding contract the vector loads depend on.
+/// that reproduces the block blob byte for byte, and the alignment /
+/// padding contract the vector loads depend on (for built and for decoded
+/// blocks).
 
 #include <gtest/gtest.h>
 
@@ -227,7 +228,7 @@ TEST(SimdKernelTest, BatchTwoLevelIntervalBitIdenticalToScalar) {
   }
 }
 
-// --- serialization: the SoA refactor must not move a single wire byte ----
+// --- serialization: decode then serialize reproduces the blob byte for byte
 
 TEST(SimdKernelTest, SerializeRoundTripByteIdentical) {
   auto block = make_random_block(9, 5u);
@@ -294,6 +295,31 @@ TEST(SimdKernelTest, FieldArraysAlignedAndPadded) {
   check(block.velocity_y().data(), nodes);
   check(block.velocity_z().data(), nodes);
   check(block.field_values(id).data(), nodes);
+
+  // A decoded block's fields are slices of one slab, held to the same
+  // contract even when the blob's pad bytes are not zero: every array in
+  // the blob is `padded` floats, the last `padded - nodes` of them pad.
+  util::ByteBuffer blob;
+  block.serialize(blob);
+  const std::size_t padded = grid::padded_floats(nodes);
+  const std::size_t array_bytes = padded * sizeof(float);
+  const std::size_t arrays = 7;  // px py pz vx vy vz s
+  const std::size_t header = blob.size() - arrays * array_bytes;
+  EXPECT_EQ(header % grid::kFieldAlignment, 0u);
+  for (std::size_t a = 0; a < arrays; ++a) {
+    const std::size_t pad_begin = header + a * array_bytes + nodes * sizeof(float);
+    std::memset(blob.data() + pad_begin, 0xff, (padded - nodes) * sizeof(float));
+  }
+  const auto decoded = grid::StructuredBlock::deserialize(blob);
+  check(decoded.points_x().data(), nodes);
+  check(decoded.points_y().data(), nodes);
+  check(decoded.points_z().data(), nodes);
+  check(decoded.velocity_x().data(), nodes);
+  check(decoded.velocity_y().data(), nodes);
+  check(decoded.velocity_z().data(), nodes);
+  const auto decoded_id = decoded.field_id("s");
+  check(decoded.field_values(decoded_id).data(), nodes);
+  EXPECT_EQ(decoded.field_values(decoded_id)[nodes - 1], 1.5f);
 
   grid::AlignedFloats a(21, 3.0f);
   EXPECT_EQ(a.size(), 21u);
