@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <vector>
 
 #include "simd/kernels.hpp"
@@ -91,13 +92,10 @@ std::size_t triangulate_cell_core(const StructuredBlock& block, FieldId field,
   const auto corners = block.cell_corners(ci, cj, ck);
 
   std::array<float, 8> scalar;
-  bool any_below = false;
-  bool any_at_or_above = false;
   for (int v = 0; v < 8; ++v) {
     scalar[v] = values[corners[v]];
-    (scalar[v] < iso ? any_below : any_at_or_above) = true;
   }
-  if (!any_below || !any_at_or_above) {
+  if (!cell_is_active(scalar, iso)) {
     return 0;
   }
 
@@ -123,20 +121,27 @@ std::size_t triangulate_cell_core(const StructuredBlock& block, FieldId field,
 
 }  // namespace
 
+bool cell_is_active(const std::array<float, 8>& corners, float iso) {
+  bool any_below = false;
+  bool any_at_or_above = false;
+  for (const float v : corners) {
+    if (!std::isfinite(v)) {
+      return false;
+    }
+    (v < iso ? any_below : any_at_or_above) = true;
+  }
+  return any_below && any_at_or_above;
+}
+
 bool cell_is_active(const StructuredBlock& block, const std::string& field, float iso, int ci,
                     int cj, int ck) {
   const auto values = block.scalar(field);
   const auto corners = block.cell_corners(ci, cj, ck);
-  bool any_below = false;
-  bool any_at_or_above = false;
-  for (const auto corner : corners) {
-    if (values[corner] < iso) {
-      any_below = true;
-    } else {
-      any_at_or_above = true;
-    }
+  std::array<float, 8> scalar;
+  for (int v = 0; v < 8; ++v) {
+    scalar[v] = values[corners[v]];
   }
-  return any_below && any_at_or_above;
+  return cell_is_active(scalar, iso);
 }
 
 std::size_t triangulate_cell(const StructuredBlock& block, const std::string& field, float iso,

@@ -14,6 +14,7 @@
 /// independently must still "be assembled directly from the partial data"
 /// (Sec. 5.1). A property test verifies closed surfaces are edge-2-manifold.
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -24,7 +25,14 @@
 
 namespace vira::algo {
 
-/// True if the cell's corner scalar range straddles `iso`.
+/// The active-cell predicate, on a cell's 8 corner values: every corner is
+/// finite, one is < iso and one is >= iso. A NaN or infinite sample marks
+/// missing data, so the cells around it carry no surface and every vertex
+/// the triangulator emits is finite. Both extraction paths use it:
+/// simd::active_cell_mask computes it for a row of cells at once.
+bool cell_is_active(const std::array<float, 8>& corners, float iso);
+
+/// cell_is_active on the corners of cell (ci, cj, ck) of `field`.
 bool cell_is_active(const grid::StructuredBlock& block, const std::string& field, float iso,
                     int ci, int cj, int ck);
 
@@ -40,7 +48,7 @@ std::size_t triangulate_cell(const grid::StructuredBlock& block, const std::stri
 /// Extracts over a cell range. Returns the number of active cells.
 /// With `kernel == kSimd`, active cells are found by a vectorized per-row
 /// straddle scan (simd::active_cell_mask) and only those are triangulated;
-/// the emitted mesh is identical to the scalar path's.
+/// the emitted mesh is identical to the scalar path's, NaN samples included.
 std::size_t extract_isosurface_range(const grid::StructuredBlock& block,
                                      const std::string& field, float iso,
                                      const grid::CellRange& range, TriangleMesh& mesh,

@@ -14,7 +14,12 @@
 /// Numerical contract: each kernel mirrors the scalar reference formulas
 /// (same finite-difference stencils, same adjugate inverse, same analytic
 /// eigen-solve), so results agree to rounding-order differences only —
-/// the property tests in simd_kernel_test.cpp bound the drift.
+/// the property tests in simd_kernel_test.cpp bound the drift, at both
+/// dispatch levels. The generic TU's λ2 uses the strict formulas
+/// throughout; the avx2 TU's eigen pass runs in a -ffast-math TU, which
+/// assumes finite values: that NaN inputs still come out NaN there is
+/// pinned by a test, not promised by the compiler. The active-cell mask is
+/// exact: byte for byte the scalar predicate.
 
 #include <cstdint>
 #include <utility>
@@ -45,13 +50,19 @@ struct GridView {
 /// λ2 vortex criterion for every node: out[node_index] = middle eigenvalue
 /// of S²+Q² of the curvilinear velocity-gradient tensor. `out` must hold
 /// node_count() floats. Returns the (min, max) of the written field.
+/// Works one k-plane at a time: pass A fills the six entries of S²+Q² for
+/// every node of the plane (vectorized over each row's interior nodes; a
+/// singular metric gives zero, as in the scalar path), pass B solves them
+/// as one eigen batch of ni·nj lanes.
 std::pair<float, float> lambda2_field(const GridView& g, float* out);
 
-/// Active-cell scan for one cell row: mask[c] = 1 iff the 8 corner values
-/// of cell c straddle `iso` (any corner < iso AND any corner >= iso — the
-/// exact cell_is_active predicate). n00/n01/n10/n11 point at the first
+/// Active-cell scan for one cell row: mask[c] = 1 iff cell c is active by
+/// algo::cell_is_active's predicate — all 8 corner values finite, one
+/// < iso and one >= iso — so a NaN or infinite corner makes a cell
+/// inactive on both extraction paths. n00/n01/n10/n11 point at the first
 /// node of the four corner node rows (j,k), (j+1,k), (j,k+1), (j+1,k+1);
-/// each must be readable for ncells+1 floats.
+/// each must be readable for ncells+1 floats. The compare loop steps 8
+/// cells per AVX2 vector (4 per SSE2 vector).
 void active_cell_mask(const float* n00, const float* n01, const float* n10, const float* n11,
                       int ncells, float iso, std::uint8_t* mask);
 

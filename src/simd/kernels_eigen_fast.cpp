@@ -5,10 +5,11 @@
 /// std::acos / std::cos onto libmvec's AVX2 vector variants (_ZGVdN4v_*).
 /// The loop body is branch-free — the scalar reference's off == 0 diagonal
 /// shortcut and singular-p guard become arithmetic selects — so the whole
-/// eigen-solve if-converts and runs four lanes per iteration. Results agree
-/// with the strict-FP scalar formula to rounding error (the λ2 property
-/// test pins the tolerance); bit-exactness is NOT promised here, which is
-/// why the generic (fallback) namespace keeps the strict scalar loop.
+/// eigen-solve if-converts and runs four lanes per iteration, with one
+/// acos and one cos per lane. Results agree with the strict-FP scalar
+/// formula to rounding error (the λ2 property test pins the tolerance);
+/// bit-exactness is NOT promised here, which is why the generic (fallback)
+/// namespace keeps the strict scalar loop.
 ///
 /// Kept out of kernels.inl: -ffast-math must not leak into pass A (whose
 /// subtraction stencils are formula-identical to the scalar path) or into
@@ -50,9 +51,10 @@ void eigen_mid_sym3_batch(const double* a00, const double* a11, const double* a2
                c02 * (c01 * c12 - c11 * c02));
     const double r = std::clamp(half_det, -1.0, 1.0);
     const double phi = std::acos(r) / 3.0;
-    const double e2 = q + 2.0 * p * std::cos(phi);
-    const double e0 = q + 2.0 * p * std::cos(phi + 2.0 * kPi / 3.0);
-    out[l] = 3.0 * q - e0 - e2;
+    // The middle root directly: cos φ + cos(φ + 2π/3) + cos(φ + 4π/3) = 0,
+    // so this equals the strict formula's 3q − e0 − e2 with one cosine
+    // instead of two.
+    out[l] = q + 2.0 * p * std::cos(phi + 4.0 * kPi / 3.0);
   }
 }
 

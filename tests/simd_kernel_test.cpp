@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "algo/integrator.hpp"
@@ -32,30 +35,33 @@ namespace {
 /// Vortex block with randomized node jitter and velocity noise so the
 /// kernels see irregular (but still valid curvilinear) data, not just the
 /// smooth analytic field.
-grid::StructuredBlock make_random_block(int n, std::uint32_t seed) {
+grid::StructuredBlock make_random_block(int ni, int nj, int nk, std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> jitter(-0.2, 0.2);
   grid::LambOseenVortex vortex({0.5, 0.5, 0.5}, {0, 0, 1}, 2.0, 0.15);
-  grid::StructuredBlock block(n, n, n);
-  const double cell = 1.0 / (n - 1);
-  for (int k = 0; k < n; ++k) {
-    for (int j = 0; j < n; ++j) {
-      for (int i = 0; i < n; ++i) {
+  grid::StructuredBlock block(ni, nj, nk);
+  const double ci = 1.0 / (ni - 1);
+  const double cj = 1.0 / (nj - 1);
+  const double ck = 1.0 / (nk - 1);
+  for (int k = 0; k < nk; ++k) {
+    for (int j = 0; j < nj; ++j) {
+      for (int i = 0; i < ni; ++i) {
         // Jitter interior nodes by a fraction of a cell: the grid stays
         // non-degenerate, but metric terms differ node to node.
-        const bool interior = i > 0 && i < n - 1 && j > 0 && j < n - 1 && k > 0 && k < n - 1;
-        const double dx = interior ? jitter(rng) * cell : 0.0;
-        const double dy = interior ? jitter(rng) * cell : 0.0;
-        const double dz = interior ? jitter(rng) * cell : 0.0;
-        block.set_point(i, j, k, {i * cell + dx, j * cell + dy, k * cell + dz});
+        const bool interior =
+            i > 0 && i < ni - 1 && j > 0 && j < nj - 1 && k > 0 && k < nk - 1;
+        const double dx = interior ? jitter(rng) * ci : 0.0;
+        const double dy = interior ? jitter(rng) * cj : 0.0;
+        const double dz = interior ? jitter(rng) * ck : 0.0;
+        block.set_point(i, j, k, {i * ci + dx, j * cj + dy, k * ck + dz});
       }
     }
   }
   grid::sample_fields(block, vortex, 0.0);
   std::uniform_real_distribution<double> noise(-0.05, 0.05);
-  for (int k = 0; k < n; ++k) {
-    for (int j = 0; j < n; ++j) {
-      for (int i = 0; i < n; ++i) {
+  for (int k = 0; k < nk; ++k) {
+    for (int j = 0; j < nj; ++j) {
+      for (int i = 0; i < ni; ++i) {
         auto u = block.velocity(i, j, k);
         block.set_velocity(i, j, k, {u.x + noise(rng), u.y + noise(rng), u.z + noise(rng)});
       }
@@ -64,32 +70,133 @@ grid::StructuredBlock make_random_block(int n, std::uint32_t seed) {
   return block;
 }
 
+grid::StructuredBlock make_random_block(int n, std::uint32_t seed) {
+  return make_random_block(n, n, n, seed);
+}
+
+/// Pins the kernels' dispatch level for one scope, then restores it.
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(simd::Level level) : saved_(simd::active_level()) {
+    simd::set_level(level);
+  }
+  ~ScopedLevel() { simd::set_level(saved_); }
+  ScopedLevel(const ScopedLevel&) = delete;
+  ScopedLevel& operator=(const ScopedLevel&) = delete;
+
+ private:
+  simd::Level saved_;
+};
+
+/// The portable level and, where the CPU has more, the detected one.
+std::vector<simd::Level> dispatch_levels() {
+  std::vector<simd::Level> levels{simd::Level::kGeneric};
+  if (simd::detect_level() != simd::Level::kGeneric) {
+    levels.push_back(simd::detect_level());
+  }
+  return levels;
+}
+
+/// λ2 of `block` on the scalar path and on the SIMD path at the active
+/// level: the SIMD path shares the stencil/adjugate formulas but may run
+/// the trig eigen-solve through the fast-math TU, so agreement is to
+/// rounding error, not bit-exact. The drift is bounded at 1e-4 of the
+/// field scale; NaN nodes must be NaN on both paths.
+void expect_lambda2_agrees(grid::StructuredBlock& block, const std::string& what) {
+  const auto scalar_range =
+      algo::compute_lambda2_field(block, "l2_scalar", simd::Kernel::kScalar);
+  const auto simd_range = algo::compute_lambda2_field(block, "l2_simd", simd::Kernel::kSimd);
+
+  const auto a = block.scalar("l2_scalar");
+  const auto b = block.scalar("l2_simd");
+  ASSERT_EQ(a.size(), b.size());
+  float scale = 0.0f;
+  for (float v : a) {
+    if (!std::isnan(v)) {
+      scale = std::max(scale, std::abs(v));
+    }
+  }
+  ASSERT_GT(scale, 0.0f) << what;
+  const float tol = 1e-4f * scale;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::isnan(a[i]), std::isnan(b[i])) << "node " << i << ", " << what;
+    if (!std::isnan(a[i])) {
+      ASSERT_TRUE(std::isfinite(b[i])) << "node " << i << ", " << what;
+      ASSERT_NEAR(a[i], b[i], tol) << "node " << i << ", " << what;
+    }
+  }
+  EXPECT_NEAR(scalar_range.first, simd_range.first, tol) << what;
+  EXPECT_NEAR(scalar_range.second, simd_range.second, tol) << what;
+}
+
+std::string level_context(simd::Level level, const grid::StructuredBlock& block,
+                          std::uint32_t seed) {
+  return std::string(simd::level_name(level)) + " " + std::to_string(block.ni()) + "x" +
+         std::to_string(block.nj()) + "x" + std::to_string(block.nk()) + " seed " +
+         std::to_string(seed);
+}
+
 // --- λ2: scalar vs SIMD agreement ----------------------------------------
 
 TEST(SimdKernelTest, Lambda2ScalarVsSimdAgreesOnRandomBlocks) {
-  for (std::uint32_t seed : {1u, 7u, 42u}) {
-    auto block = make_random_block(17, seed);
-    const auto scalar_range =
-        algo::compute_lambda2_field(block, "l2_scalar", simd::Kernel::kScalar);
-    const auto simd_range = algo::compute_lambda2_field(block, "l2_simd", simd::Kernel::kSimd);
+  // Cubes, Engine-shaped blocks (22×16×12, 28×20×14), short rows, and a
+  // 2-wide block whose rows have no interior column for the vector loop.
+  const std::vector<std::array<int, 3>> shapes = {
+      {17, 17, 17}, {22, 16, 12}, {28, 20, 14}, {5, 3, 4}, {2, 7, 3}};
+  for (const auto level : dispatch_levels()) {
+    const ScopedLevel pin(level);
+    for (const auto& shape : shapes) {
+      for (std::uint32_t seed : {1u, 7u, 42u}) {
+        auto block = make_random_block(shape[0], shape[1], shape[2], seed);
+        expect_lambda2_agrees(block, level_context(level, block, seed));
+      }
+    }
+  }
+}
 
-    const auto a = block.scalar("l2_scalar");
-    const auto b = block.scalar("l2_simd");
-    ASSERT_EQ(a.size(), b.size());
-    float scale = 0.0f;
-    for (float v : a) {
-      scale = std::max(scale, std::abs(v));
+TEST(SimdKernelTest, Lambda2SingularMetricGivesZeroOnBothPaths) {
+  // Three k-planes collapsed onto one z: every node of the middle plane has
+  // a Jacobian with a zero row (det == 0 exactly), whose inverse both paths
+  // take as zero, so λ2 is 0 there — not NaN or Inf.
+  constexpr int kFlat = 8;
+  for (const auto level : dispatch_levels()) {
+    const ScopedLevel pin(level);
+    auto block = make_random_block(22, 16, 12, 5u);
+    for (int k = kFlat - 1; k <= kFlat + 1; ++k) {
+      for (int j = 0; j < block.nj(); ++j) {
+        for (int i = 0; i < block.ni(); ++i) {
+          const auto p = block.point(i, j, k);
+          block.set_point(i, j, k, {p.x, p.y, block.point(0, 0, kFlat).z});
+        }
+      }
     }
-    ASSERT_GT(scale, 0.0f);
-    // The SIMD path shares the stencil/adjugate formulas but runs the trig
-    // eigen-solve through the fast-math TU: agreement is to rounding
-    // error, not bit-exact. Bound the drift at 1e-4 of the field scale.
-    const float tol = 1e-4f * scale;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_NEAR(a[i], b[i], tol) << "node " << i << " seed " << seed;
+    expect_lambda2_agrees(block, level_context(level, block, 5u));
+    const auto scalar = block.scalar("l2_scalar");
+    const auto simd = block.scalar("l2_simd");
+    for (int j = 0; j < block.nj(); ++j) {
+      for (int i = 0; i < block.ni(); ++i) {
+        const auto n = block.node_index(i, j, kFlat);
+        EXPECT_EQ(scalar[n], 0.0f) << "node " << n;
+        EXPECT_EQ(simd[n], 0.0f) << "node " << n << " " << simd::level_name(level);
+      }
     }
-    EXPECT_NEAR(scalar_range.first, simd_range.first, tol);
-    EXPECT_NEAR(scalar_range.second, simd_range.second, tol);
+  }
+}
+
+TEST(SimdKernelTest, Lambda2NanVelocityGivesSameNanNodesOnBothPaths) {
+  // A NaN velocity sample poisons the central differences of its six face
+  // neighbours (not the node itself). The avx2 level's eigen pass is a
+  // -ffast-math TU, which assumes finite values: this pins that it still
+  // returns NaN for those nodes and nothing else.
+  for (const auto level : dispatch_levels()) {
+    const ScopedLevel pin(level);
+    auto block = make_random_block(22, 16, 12, 9u);
+    const auto u = block.velocity(10, 7, 5);
+    block.set_velocity(10, 7, 5, {std::numeric_limits<double>::quiet_NaN(), u.y, u.z});
+    expect_lambda2_agrees(block, level_context(level, block, 9u));
+    const auto scalar = block.scalar("l2_scalar");
+    EXPECT_EQ(std::count_if(scalar.begin(), scalar.end(), [](float v) { return std::isnan(v); }),
+              6);
   }
 }
 
@@ -128,28 +235,101 @@ TEST(SimdKernelTest, EigenBatchMatchesDiagonalAndDegenerateMatrices) {
 
 // --- isosurface: SIMD active-cell scan must not change the mesh ----------
 
+/// Extracts `block`'s density at `iso` on both paths and expects the same
+/// active-cell count and byte-identical meshes, whose vertices are all
+/// finite. Returns the triangle count.
+std::size_t expect_meshes_identical(const grid::StructuredBlock& block, float iso,
+                                    bool with_normals, const std::string& what) {
+  algo::TriangleMesh scalar_mesh, simd_mesh;
+  const auto scalar_active = algo::extract_isosurface(block, "density", iso, scalar_mesh,
+                                                      with_normals, simd::Kernel::kScalar);
+  const auto simd_active = algo::extract_isosurface(block, "density", iso, simd_mesh,
+                                                    with_normals, simd::Kernel::kSimd);
+  EXPECT_EQ(scalar_active, simd_active) << what;
+  // The SIMD path only changes *which cells get scanned how*; the
+  // triangulation of each active cell is the same code. Serialized
+  // meshes (vertices, normals, indices) must match byte for byte.
+  util::ByteBuffer a, b;
+  scalar_mesh.serialize(a);
+  simd_mesh.serialize(b);
+  EXPECT_EQ(a.size(), b.size()) << what;
+  EXPECT_TRUE(a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0) << what;
+  for (std::size_t v = 0; v < scalar_mesh.vertex_count(); ++v) {
+    const auto p = scalar_mesh.vertex(v);
+    EXPECT_TRUE(std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z))
+        << "vertex " << v << ", " << what;
+  }
+  return scalar_mesh.triangle_count();
+}
+
 TEST(SimdKernelTest, IsosurfaceScalarVsSimdMeshesIdentical) {
   for (std::uint32_t seed : {3u, 11u}) {
     auto block = make_random_block(13, seed);
     const auto range = block.scalar_range("density");
     const float iso = 0.5f * (range.first + range.second);
     for (bool with_normals : {false, true}) {
-      algo::TriangleMesh scalar_mesh, simd_mesh;
-      const auto scalar_active = algo::extract_isosurface(block, "density", iso, scalar_mesh,
-                                                          with_normals, simd::Kernel::kScalar);
-      const auto simd_active = algo::extract_isosurface(block, "density", iso, simd_mesh,
-                                                        with_normals, simd::Kernel::kSimd);
-      EXPECT_EQ(scalar_active, simd_active);
-      ASSERT_GT(scalar_mesh.triangle_count(), 0u);
-      // The SIMD path only changes *which cells get scanned how*; the
-      // triangulation of each active cell is the same code. Serialized
-      // meshes (vertices, normals, indices) must match byte for byte.
-      util::ByteBuffer a, b;
-      scalar_mesh.serialize(a);
-      simd_mesh.serialize(b);
-      ASSERT_EQ(a.size(), b.size());
-      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0)
-          << "seed " << seed << " normals " << with_normals;
+      const std::string what =
+          "seed " + std::to_string(seed) + " normals " + std::to_string(with_normals);
+      EXPECT_GT(expect_meshes_identical(block, iso, with_normals, what), 0u);
+    }
+
+    // Poison nodes with NaN and ±inf: the cells around them are inactive on
+    // both paths, and the rest of the surface is unchanged.
+    auto density = block.scalar("density");
+    for (std::size_t n = 5; n < density.size(); n += 37) {
+      density[n] = std::numeric_limits<float>::quiet_NaN();
+    }
+    density[block.node_index(6, 6, 6)] = std::numeric_limits<float>::infinity();
+    density[block.node_index(3, 9, 4)] = -std::numeric_limits<float>::infinity();
+    const std::string what = "seed " + std::to_string(seed) + " poisoned";
+    EXPECT_GT(expect_meshes_identical(block, iso, false, what), 0u);
+  }
+
+  // Density below iso everywhere but two NaN nodes: no cell straddles.
+  auto block = make_random_block(9, 1u);
+  auto density = block.scalar("density");
+  std::fill(density.begin(), density.end(), 0.25f);
+  density[block.node_index(4, 4, 4)] = std::numeric_limits<float>::quiet_NaN();
+  density[block.node_index(2, 5, 6)] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(expect_meshes_identical(block, 0.5f, false, "below iso with NaN nodes"), 0u);
+}
+
+TEST(SimdKernelTest, ActiveCellMaskMatchesScalarPredicate) {
+  // Rows of 1..70 cells cross the 8-lane vector step and the 64-cell
+  // chunk. Node values come from a few levels so iso often equals a
+  // corner, with some NaN and ±inf corners mixed in.
+  const float kLevels[] = {-1.0f,
+                           0.0f,
+                           0.5f,
+                           1.0f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+  std::mt19937 rng(17);
+  std::discrete_distribution<int> pick({20, 20, 20, 20, 1, 1, 1});
+  for (const auto level : dispatch_levels()) {
+    const ScopedLevel pin(level);
+    for (int ncells = 1; ncells <= 70; ++ncells) {
+      std::array<std::vector<float>, 4> rows;
+      for (auto& row : rows) {
+        row.resize(static_cast<std::size_t>(ncells) + 1);
+        for (auto& v : row) {
+          v = kLevels[pick(rng)];
+        }
+      }
+      for (float iso : {0.0f, 0.5f, 1.0f}) {
+        std::vector<std::uint8_t> mask(static_cast<std::size_t>(ncells), 0xee);
+        simd::active_cell_mask(rows[0].data(), rows[1].data(), rows[2].data(), rows[3].data(),
+                               ncells, iso, mask.data());
+        for (int c = 0; c < ncells; ++c) {
+          const std::array<float, 8> corners = {rows[0][c], rows[0][c + 1], rows[1][c],
+                                                rows[1][c + 1], rows[2][c], rows[2][c + 1],
+                                                rows[3][c], rows[3][c + 1]};
+          ASSERT_EQ(mask[c], algo::cell_is_active(corners, iso) ? 1 : 0)
+              << simd::level_name(level) << " ncells " << ncells << " cell " << c << " iso "
+              << iso;
+        }
+      }
     }
   }
 }
