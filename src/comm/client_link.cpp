@@ -106,6 +106,10 @@ class TcpLink final : public ClientLink {
   }
 
   void send(Message msg) override {
+    if (msg.body) {
+      // The frame has no place for a body; refused, not silently dropped.
+      throw std::invalid_argument("TcpLink::send: a socket link carries no message body");
+    }
     std::lock_guard<std::mutex> lock(send_mutex_);
     if (closed_) {
       return;

@@ -59,7 +59,8 @@ class ClientLink {
   virtual ~ClientLink() = default;
 
   /// Sends one framed message. Thread-safe against itself. Sends on a
-  /// closed link are dropped.
+  /// closed link are dropped. A socket link (TCP client, event loop) throws
+  /// std::invalid_argument for a message with a body and stays usable.
   virtual void send(Message msg) = 0;
 
   /// Receives the next message, blocking up to `timeout`. Returns nullopt

@@ -21,18 +21,20 @@ Communicator::Communicator(std::shared_ptr<Transport> transport, int rank)
   }
 }
 
-void Communicator::send(int dest, int tag, util::ByteBuffer payload) {
+void Communicator::send(int dest, int tag, util::ByteBuffer payload, util::SharedBytes body) {
   if (tag < 0) {
     throw std::invalid_argument("Communicator::send: negative tags are reserved");
   }
-  send_internal(dest, tag, std::move(payload));
+  send_internal(dest, tag, std::move(payload), std::move(body));
 }
 
-void Communicator::send_internal(int dest, int tag, util::ByteBuffer payload) {
+void Communicator::send_internal(int dest, int tag, util::ByteBuffer payload,
+                                 util::SharedBytes body) {
   Message msg;
   msg.source = rank_;
   msg.tag = tag;
   msg.payload = std::move(payload);
+  msg.body = std::move(body);
   transport_->send(dest, std::move(msg));
 }
 

@@ -54,8 +54,9 @@ class Communicator {
 
   /// --- point to point -----------------------------------------------------
   /// Asynchronous, reliable, FIFO per destination. `tag` must be >= 0
-  /// (negative tags are reserved for collectives).
-  void send(int dest, int tag, util::ByteBuffer payload);
+  /// (negative tags are reserved for collectives). `body`, if any, travels
+  /// by reference as the message's body (message.hpp).
+  void send(int dest, int tag, util::ByteBuffer payload, util::SharedBytes body = nullptr);
 
   /// Blocks until a message matching (source, tag) arrives.
   /// Throws TransportClosed if the transport shuts down while waiting.
@@ -88,7 +89,8 @@ class Communicator {
                                  util::Clock::TimePoint deadline, bool consume);
   /// Drains the transport, waiting for a first message until `deadline`.
   std::vector<Message> pump(util::Clock::TimePoint deadline);
-  void send_internal(int dest, int tag, util::ByteBuffer payload);
+  void send_internal(int dest, int tag, util::ByteBuffer payload,
+                     util::SharedBytes body = nullptr);
 
   std::shared_ptr<Transport> transport_;
   int rank_;

@@ -69,8 +69,7 @@ bool FaultInjectingTransport::reachable_locked(int source, int dest) {
   return false;
 }
 
-void FaultInjectingTransport::record_locked(char kind, int a, int b, int tag,
-                                            const util::ByteBuffer& payload) {
+void FaultInjectingTransport::record_locked(char kind, int a, int b, const Message* msg) {
   ++events_;
   const std::int64_t fields[] = {
       kind,
@@ -78,10 +77,15 @@ void FaultInjectingTransport::record_locked(char kind, int a, int b, int tag,
           .count(),
       a,
       b,
-      tag,
-      static_cast<std::int64_t>(payload.size())};
+      msg ? msg->tag : 0,
+      msg ? static_cast<std::int64_t>(msg->byte_size()) : 0};
   hash_ = fnv1a(hash_, fields, sizeof(fields));
-  hash_ = fnv1a(hash_, payload.data(), payload.size());
+  if (msg) {
+    hash_ = fnv1a(hash_, msg->payload.data(), msg->payload.size());
+    if (msg->body) {
+      hash_ = fnv1a(hash_, msg->body->data(), msg->body->size());
+    }
+  }
 }
 
 void FaultInjectingTransport::send(int dest, Message msg) {
@@ -101,7 +105,7 @@ void FaultInjectingTransport::send(int dest, Message msg) {
       if (config_.drop_rate > 0.0 && rng_.next_double() < config_.drop_rate) {
         ++stats_.dropped;
         fault_metrics().dropped.add();
-        record_locked('D', msg.source, dest, msg.tag, msg.payload);
+        record_locked('D', msg.source, dest, &msg);
         return;
       }
       if (config_.duplicate_rate > 0.0 && rng_.next_double() < config_.duplicate_rate) {
@@ -120,13 +124,13 @@ void FaultInjectingTransport::send(int dest, Message msg) {
     ++stats_.forwarded;
     if (delay.count() > 0) {
       const auto due = util::clock_now() + delay;
-      if (duplicate) {
+      if (duplicate) {  // the twin copies the payload and shares the body
         delayed_.emplace(due, std::make_pair(dest, msg));
       }
       delayed_.emplace(due, std::make_pair(dest, std::move(msg)));
     } else {
       for (int copy = duplicate ? 2 : 1; copy > 0; --copy) {
-        record_locked('d', msg.source, dest, msg.tag, msg.payload);
+        record_locked('d', msg.source, dest, &msg);
       }
     }
   }
@@ -159,7 +163,7 @@ void FaultInjectingTransport::shutdown() {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!stopping_) {
       stopping_ = true;
-      record_locked('X', -1, -1, 0, util::ByteBuffer());
+      record_locked('X', -1, -1, nullptr);
     }
   }
   delay_cv_.notify_all();
@@ -175,7 +179,7 @@ void FaultInjectingTransport::kill_rank(int rank) {
     if (!dead_.insert(rank).second) {
       return;
     }
-    record_locked('K', rank, -1, 0, util::ByteBuffer());
+    record_locked('K', rank, -1, nullptr);
   }
   fault_metrics().killed.add();
   VIRA_WARN("fault") << "rank " << rank << " killed (delivery suppressed)";
@@ -227,7 +231,7 @@ void FaultInjectingTransport::delay_loop() {
     if (!reachable_locked(msg.source, dest)) {
       continue;
     }
-    record_locked('d', msg.source, dest, msg.tag, msg.payload);
+    record_locked('d', msg.source, dest, &msg);
     lock.unlock();
     inner_->send(dest, std::move(msg));
     lock.lock();

@@ -82,8 +82,10 @@ class FaultInjectingTransport final : public Transport {
   FaultInjectionStats stats() const;
 
   /// FNV-1a over every transport event so far: (kind, clock time, source,
-  /// dest, tag, payload). Read it at a quiescent point (under DST, with the
-  /// driver holding the token) for a stable per-scenario value.
+  /// dest, tag, byte count, payload bytes then body bytes), so a blob sent
+  /// as a body hashes as it did inside the payload. Read it at a quiescent
+  /// point (under DST, with the driver holding the token) for a stable
+  /// per-scenario value.
   std::uint64_t trajectory_hash() const;
   std::uint64_t event_count() const;
 
@@ -94,7 +96,8 @@ class FaultInjectingTransport final : public Transport {
   /// True iff neither end of a message from `source` to `dest` is dead;
   /// counts the suppression otherwise.
   bool reachable_locked(int source, int dest);
-  void record_locked(char kind, int a, int b, int tag, const util::ByteBuffer& payload);
+  /// Folds one event into the hash; `msg` is null for a kill or shutdown.
+  void record_locked(char kind, int a, int b, const Message* msg);
   void delay_loop();
 
   std::shared_ptr<Transport> inner_;

@@ -34,7 +34,7 @@ void InProcTransport::send(int dest, Message msg) {
     throw std::out_of_range("InProcTransport::send: bad destination endpoint");
   }
   metrics().messages.add();
-  metrics().bytes.add(msg.payload.size());
+  metrics().bytes.add(msg.byte_size());
   // Gated span: only sends issued from traced work (a span context on this
   // thread) get a "comm.send" record — heartbeat/teardown chatter stays out
   // of the trace, and the no-sink path never reaches here.
@@ -44,7 +44,7 @@ void InProcTransport::send(int dest, Message msg) {
     if (span.active()) {
       span.arg("dest", dest);
       span.arg("tag", msg.tag);
-      span.arg("bytes", static_cast<std::int64_t>(msg.payload.size()));
+      span.arg("bytes", static_cast<std::int64_t>(msg.byte_size()));
     }
   }
   mailboxes_[static_cast<std::size_t>(dest)]->push(std::move(msg));

@@ -25,8 +25,10 @@ namespace vira::dms {
 using ItemId = std::uint64_t;
 inline constexpr ItemId kInvalidItem = ~0ull;
 
-/// Immutable shared payload bytes.
-using Blob = std::shared_ptr<const util::ByteBuffer>;
+/// An item's payload bytes, immutable once made and shared by reference:
+/// the cache, its readers and a peer transfer's requester all hold the one
+/// allocation (a peer reply carries it as the message body).
+using Blob = util::SharedBytes;
 
 inline Blob make_blob(util::ByteBuffer buffer) {
   return std::make_shared<const util::ByteBuffer>(std::move(buffer));

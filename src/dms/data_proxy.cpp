@@ -280,7 +280,7 @@ Blob DataProxy::execute_load(ItemId id, const DataItemName& name, bool from_pref
   // Sources, in order: peers, then a collective or direct disk read. A
   // sharded non-owner tries the owner replicas, with no central round-trip.
   // Otherwise the central server's fitness function picks the strategy
-  // (paper Sec. 4.3) and names the holder a peer transfer copies from.
+  // (paper Sec. 4.3) and names the holder a peer transfer fetches from.
   const std::string file_key = source_->file_key(name);
   const std::vector<int> owners = shard_map_ ? shard_map_->owners(id) : std::vector<int>{};
   std::vector<int> peers;
@@ -428,7 +428,7 @@ Blob DataProxy::fetch_from_peer(int peer, ItemId id, std::uint64_t min_version,
       timed_out = true;
       return nullptr;
     }
-    auto reply = PeerBlockReply::deserialize(msg->payload);
+    auto reply = PeerBlockReply::deserialize(msg->payload, std::move(msg->body));
     if (reply.seq != req.seq) {
       // A reply to an earlier fetch that already timed out, or a transport
       // duplicate of one we consumed: identified by seq and dropped.
@@ -438,7 +438,7 @@ Blob DataProxy::fetch_from_peer(int peer, ItemId id, std::uint64_t min_version,
       return nullptr;
     }
     version_out = reply.version;
-    return reply.blob;
+    return reply.blob;  // the owner's allocation, cached here as is
   }
 }
 
@@ -452,9 +452,9 @@ void DataProxy::push_to_owners(ItemId id, const Blob& blob, const std::vector<in
     push.id = id;
     push.version = version;
     push.blob = blob;
-    util::ByteBuffer payload;
-    push.serialize(payload);
-    peer_comm_->send(owner + 1, comm::kTagPeerPush, std::move(payload));
+    util::ByteBuffer header;
+    push.serialize(header);
+    peer_comm_->send(owner + 1, comm::kTagPeerPush, std::move(header), blob);
     stats_->record_peer_push();
   }
 }
@@ -480,9 +480,8 @@ void DataProxy::peer_service_loop() {
   }
 }
 
-void DataProxy::serve_peer_fetch(const comm::Message& msg) {
-  util::ByteBuffer payload = msg.payload;
-  auto req = PeerFetchRequest::deserialize(payload);
+void DataProxy::serve_peer_fetch(comm::Message& msg) {
+  auto req = PeerFetchRequest::deserialize(msg.payload);
   // The requester's version floor rides along on every fetch, so even an
   // owner whose bump listener lags learns of the invalidation here.
   raise_data_version(req.min_version);
@@ -507,13 +506,15 @@ void DataProxy::serve_peer_fetch(const comm::Message& msg) {
       reply.blob = std::move(blob);
     }
   }
-  util::ByteBuffer out;
-  reply.serialize(out);
-  peer_comm_->send(req.reply_rank, comm::kTagPeerBlock, std::move(out));
+  // The cached blob goes out as the body: the requester gets this very
+  // allocation, and no block byte is copied.
+  util::ByteBuffer header;
+  reply.serialize(header);
+  peer_comm_->send(req.reply_rank, comm::kTagPeerBlock, std::move(header), std::move(reply.blob));
 }
 
 void DataProxy::apply_peer_push(comm::Message& msg) {
-  auto push = PeerPush::deserialize(msg.payload);
+  auto push = PeerPush::deserialize(msg.payload, std::move(msg.body));
   raise_data_version(push.version);
   if (push.version < data_version_.load(std::memory_order_acquire)) {
     return;  // the push crossed a bump on the wire; its bytes are already stale

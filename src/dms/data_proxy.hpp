@@ -90,6 +90,8 @@ class DataProxy {
   /// pushes). A peer transfer waits `fetch_timeout` for the peer's answer
   /// before trying the next source, and the data server stops naming a
   /// silent holder for that item; without this channel it reads the disk.
+  /// A transferred blob is the sender's allocation, passed by reference:
+  /// both proxies hold it, and each charges its full size to its own L1.
   void connect_peers(std::shared_ptr<comm::Communicator> comm,
                      std::chrono::milliseconds fetch_timeout);
 
@@ -130,7 +132,7 @@ class DataProxy {
   void push_to_owners(ItemId id, const Blob& blob, const std::vector<int>& owners,
                       std::uint64_t version);
   void peer_service_loop();
-  void serve_peer_fetch(const comm::Message& msg);
+  void serve_peer_fetch(comm::Message& msg);
   void apply_peer_push(comm::Message& msg);
   /// Current-version stamp bookkeeping for the sharded path.
   void stamp_version(ItemId id, std::uint64_t version);

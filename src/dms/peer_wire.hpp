@@ -10,8 +10,16 @@
 /// reply already consumed — is recognized and discarded instead of being
 /// mistaken for the answer to a later fetch; the same (identity, dedup)
 /// idea the exactly-once fragment machinery uses.
+///
+/// A reply or push writes only its header into the payload; the blob
+/// travels as the message body (comm::Message::body), by reference. The
+/// requester caches the very allocation the owner holds, so a transfer
+/// copies no block bytes on either side, and the header's size field must
+/// match the body it arrives with.
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "dms/data_item.hpp"
 #include "util/byte_buffer.hpp"
@@ -45,67 +53,70 @@ struct PeerFetchRequest {
   }
 };
 
-/// kTagPeerBlock payload: owner → requester. `found == 0` is a signed miss
-/// (not cached, stale, or misrouted); the requester then tries the next
-/// replica or falls back to disk — it never waits on a silent peer.
+/// Throws std::out_of_range unless `body` holds exactly the header's `size`
+/// bytes (none when null), and is present when `required`.
+inline void check_peer_body(std::uint64_t size, const Blob& body, bool required) {
+  if ((required && !body) || size != (body ? body->size() : 0)) {
+    throw std::out_of_range("peer wire: size field " + std::to_string(size) +
+                            " disagrees with a body of " +
+                            (body ? std::to_string(body->size()) + " bytes" : "none"));
+  }
+}
+
+/// kTagPeerBlock: owner → requester. `found == 0` is a signed miss (not
+/// cached, stale, or misrouted); the requester then tries the next replica
+/// or falls back to disk — it never waits on a silent peer.
 struct PeerBlockReply {
   std::uint64_t seq = 0;
   std::uint8_t found = 0;
   std::uint64_t version = 0;
-  Blob blob;  ///< blob content; null when found == 0
+  Blob blob;  ///< the message body; null when found == 0
 
-  /// The header and the blob's bytes go straight into one payload reserved
-  /// to its final size: the cached blob is not copied into a reply first.
+  /// Writes the header `seq, found, version, size`; send `blob` as the body.
   void serialize(util::ByteBuffer& out) const {
-    const std::uint64_t size = blob ? blob->size() : 0;
-    out.reserve(out.size() + 3 * sizeof(std::uint64_t) + sizeof(std::uint8_t) + size);
     out.write<std::uint64_t>(seq);
     out.write<std::uint8_t>(found);
     out.write<std::uint64_t>(version);
-    out.write<std::uint64_t>(size);
-    if (blob) {
-      out.write_raw(blob->data(), size);
-    }
+    out.write<std::uint64_t>(blob ? blob->size() : 0);
   }
-  /// Throws std::out_of_range, before allocating, when the size field
-  /// exceeds what the payload holds.
-  static PeerBlockReply deserialize(util::ByteBuffer& in) {
+  /// Takes the header from `in` and the blob from `body`. Throws
+  /// std::out_of_range when the size field disagrees with the body, or when
+  /// `found` is set without one.
+  static PeerBlockReply deserialize(util::ByteBuffer& in, Blob body) {
     PeerBlockReply r;
     r.seq = in.read<std::uint64_t>();
     r.found = in.read<std::uint8_t>();
     r.version = in.read<std::uint64_t>();
-    auto bytes = in.read_bytes(in.read<std::uint64_t>());
+    check_peer_body(in.read<std::uint64_t>(), body, r.found != 0);
     if (r.found != 0) {
-      r.blob = make_blob(std::move(bytes));
+      r.blob = std::move(body);
     }
     return r;
   }
 };
 
-/// kTagPeerPush payload: loader → replica owner, one-way. After a disk
-/// load the loader places a copy on every live owner so a later owner
-/// death is covered by a surviving replica instead of a disk respill.
+/// kTagPeerPush: loader → replica owner, one-way. After a disk load the
+/// loader places its blob on every live owner so a later owner death is
+/// covered by a surviving replica instead of a disk respill.
 struct PeerPush {
   ItemId id = 0;
   std::uint64_t version = 0;
-  Blob blob;
+  Blob blob;  ///< the message body
 
-  /// One payload reserved to its final size, as PeerBlockReply.
+  /// Writes the header `id, version, size`; send `blob` as the body.
   void serialize(util::ByteBuffer& out) const {
-    const std::uint64_t size = blob ? blob->size() : 0;
-    out.reserve(out.size() + 3 * sizeof(std::uint64_t) + size);
     out.write<std::uint64_t>(id);
     out.write<std::uint64_t>(version);
-    out.write<std::uint64_t>(size);
-    if (blob) {
-      out.write_raw(blob->data(), size);
-    }
+    out.write<std::uint64_t>(blob ? blob->size() : 0);
   }
-  static PeerPush deserialize(util::ByteBuffer& in) {
+  /// Throws std::out_of_range, as PeerBlockReply, when the size field
+  /// disagrees with the body or the body is missing.
+  static PeerPush deserialize(util::ByteBuffer& in, Blob body) {
     PeerPush p;
     p.id = in.read<std::uint64_t>();
     p.version = in.read<std::uint64_t>();
-    p.blob = make_blob(in.read_bytes(in.read<std::uint64_t>()));
+    check_peer_body(in.read<std::uint64_t>(), body, /*required=*/true);
+    p.blob = std::move(body);
     return p;
   }
 };

@@ -304,6 +304,10 @@ void EventLoop::Impl::kick(const std::shared_ptr<Conn>& conn) {
 }
 
 bool EventLoop::Impl::enqueue(const std::shared_ptr<Conn>& conn, comm::Message msg) {
+  if (msg.body) {
+    // The frame has no place for a body; refused, not silently dropped.
+    throw std::invalid_argument("net::EventLoop: a socket link carries no message body");
+  }
   if (conn->closed.load(std::memory_order_relaxed)) {
     return false;
   }

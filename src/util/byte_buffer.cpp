@@ -42,14 +42,6 @@ void ByteBuffer::read_raw(void* dst, std::size_t size) {
   read_pos_ += size;
 }
 
-ByteBuffer ByteBuffer::read_bytes(std::size_t size) {
-  check_available(size);
-  const auto first = data_.begin() + static_cast<std::ptrdiff_t>(read_pos_);
-  ByteBuffer out(std::vector<std::byte>(first, first + static_cast<std::ptrdiff_t>(size)));
-  read_pos_ += size;
-  return out;
-}
-
 std::string ByteBuffer::read_string() {
   const auto size = read<std::uint64_t>();
   check_available(size);

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -35,7 +36,6 @@ class ByteBuffer {
     data_.clear();
     read_pos_ = 0;
   }
-  void reserve(std::size_t bytes) { data_.reserve(bytes); }
 
   /// --- writing -----------------------------------------------------------
   void write_raw(const void* src, std::size_t size);
@@ -74,11 +74,6 @@ class ByteBuffer {
 
   std::string read_string();
 
-  /// The next `size` bytes as a buffer of their own. The size is checked
-  /// against the bytes left before anything is allocated (it may come off
-  /// the wire), and the bytes are copied once, without a zero-fill.
-  ByteBuffer read_bytes(std::size_t size);
-
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
@@ -103,6 +98,11 @@ class ByteBuffer {
   std::vector<std::byte> data_;
   std::size_t read_pos_ = 0;
 };
+
+/// Immutable bytes shared by reference: a cached DMS blob (`dms::Blob`) or
+/// a rank message's body. Every holder reads the one allocation and none
+/// writes to it, so handing the bytes on copies a pointer, not the bytes.
+using SharedBytes = std::shared_ptr<const ByteBuffer>;
 
 /// Non-owning read cursor over a span of immutable bytes.
 ///

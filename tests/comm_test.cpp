@@ -10,6 +10,7 @@
 #include "comm/communicator.hpp"
 #include "comm/transport.hpp"
 #include "net/event_loop.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace vc = vira::comm;
@@ -60,6 +61,24 @@ TEST(InProcTransport, DeliversToAddressedEndpoint) {
   EXPECT_EQ(received->source, 0);
   EXPECT_EQ(received->tag, 7);
   EXPECT_EQ(read_payload(received->payload), "hello");
+  EXPECT_EQ(received->body, nullptr);
+
+  // A body crosses by reference and counts toward comm.bytes_sent.
+  auto& bytes_sent = vira::obs::Registry::instance().counter("comm.bytes_sent");
+  const auto before = bytes_sent.value();
+  vc::Message with_body;
+  with_body.source = 1;
+  with_body.payload = make_payload("header");
+  with_body.body = std::make_shared<const vu::ByteBuffer>(make_payload("block bytes"));
+  const auto body = with_body.body;
+  const std::size_t bytes = with_body.payload.size() + body->size();
+  EXPECT_EQ(with_body.byte_size(), bytes);
+  transport.send(2, std::move(with_body));
+  EXPECT_EQ(bytes_sent.value() - before, bytes);
+  received = transport.recv(2, std::chrono::milliseconds(100));
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(read_payload(received->payload), "header");
+  EXPECT_EQ(received->body.get(), body.get()) << "the receiver holds the sender's allocation";
 
   EXPECT_FALSE(transport.recv(0, std::chrono::milliseconds(1)).has_value());
 }
@@ -366,6 +385,44 @@ TEST_P(ClientLinkTest, LargePayloadSurvives) {
   const auto restored = received->payload.read_vector<float>();
   ASSERT_EQ(restored.size(), big.size());
   EXPECT_EQ(restored[123456], 123456.0f);
+}
+
+TEST_P(ClientLinkTest, BodyPassesInProcessAndSocketLinksRefuseIt) {
+  const auto body = std::make_shared<const vu::ByteBuffer>(make_payload("body"));
+  const auto message = [&](int tag, const char* text, bool with_body) {
+    vc::Message msg;
+    msg.tag = tag;
+    msg.payload = make_payload(text);
+    if (with_body) {
+      msg.body = body;
+    }
+    return msg;
+  };
+  if (GetParam() == "inproc") {
+    client_->send(message(1, "header", true));
+    auto received = server_->recv(std::chrono::milliseconds(2000));
+    ASSERT_TRUE(received.has_value());
+    EXPECT_EQ(read_payload(received->payload), "header");
+    EXPECT_EQ(received->body.get(), body.get());
+    return;
+  }
+  // A frame has no place for a body: the TCP client and the event loop
+  // both refuse one instead of dropping its bytes, and keep serving.
+  EXPECT_THROW(client_->send(message(1, "header", true)), std::invalid_argument);
+  EXPECT_THROW(server_->send(message(2, "header", true)), std::invalid_argument);
+  EXPECT_FALSE(client_->closed());
+  EXPECT_FALSE(server_->closed());
+  client_->send(message(3, "after", false));
+  auto received = server_->recv(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(received->tag, 3);
+  EXPECT_EQ(read_payload(received->payload), "after");
+  EXPECT_EQ(received->body, nullptr);
+  server_->send(message(4, "reply", false));
+  auto back = client_->recv(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->tag, 4);
+  EXPECT_EQ(read_payload(back->payload), "reply");
 }
 
 TEST_P(ClientLinkTest, RecvTimesOutWithoutTraffic) {

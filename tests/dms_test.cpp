@@ -974,11 +974,13 @@ TEST(DataProxy, PeerTransferServesFromOtherProxy) {
   auto proxy_a = fx.make_peer(0);
   auto proxy_b = fx.make_peer(1);
   const auto name = item("engine", 3, 2);
-  (void)proxy_a->request(name);  // disk load, registers holder
+  const auto original = proxy_a->request(name);  // disk load, registers holder
   EXPECT_EQ(fx.source->loads(), 1);
   const double disk_bandwidth = fx.server->environment().disk_bandwidth;
-  (void)proxy_b->request(name);  // must come from proxy A, not disk
+  const auto fetched = proxy_b->request(name);  // must come from proxy A, not disk
   EXPECT_EQ(fx.source->loads(), 1);
+  // The reply carried A's cached blob by reference: one allocation, no copy.
+  EXPECT_EQ(fetched.get(), original.get());
   const auto decisions = fx.server->decision_counts();
   EXPECT_GE(decisions.at("peer-transfer"), 1u);
   // A peer copy is no disk read: the estimate it competes with stays put.
@@ -1758,33 +1760,77 @@ bool same_bytes(const vd::Blob& a, const vd::Blob& b) {
 
 }  // namespace
 
-TEST(ShardedDms, PeerBlockReplyWireLayoutAndOversizedSizeField) {
+TEST(ShardedDms, PeerWireHeaderInPayloadBlobAsBody) {
   vira::util::ByteBuffer content;
   content.write<std::uint64_t>(0x1122334455667788ULL);
   content.write<std::uint8_t>(9);
+  const auto blob = vd::make_blob(content);
+  // Sizes that disagree with the 9-byte body: short, a terabyte, and one
+  // that would wrap a read position.
+  const std::uint64_t wrong_sizes[] = {10, std::uint64_t{1} << 40, ~std::uint64_t{0}};
+
   vd::PeerBlockReply reply;
   reply.seq = 3;
   reply.found = 1;
   reply.version = 5;
-  reply.blob = vd::make_blob(content);
-  vira::util::ByteBuffer wire;
-  reply.serialize(wire);
-  // seq, found, version, size, then the blob's bytes as they are cached.
-  ASSERT_EQ(wire.size(), 8u + 1u + 8u + 8u + content.size());
-  EXPECT_EQ(std::memcmp(wire.data() + 25, content.data(), content.size()), 0);
-  auto parsed = vd::PeerBlockReply::deserialize(wire);
+  reply.blob = blob;
+  vira::util::ByteBuffer header;
+  reply.serialize(header);
+  // seq, found, version, size: the blob's bytes are not in the payload.
+  ASSERT_EQ(header.size(), 8u + 1u + 8u + 8u);
+  std::uint64_t size = 0;
+  std::memcpy(&size, header.data() + 17, sizeof(size));
+  EXPECT_EQ(size, content.size());
+  auto parsed = vd::PeerBlockReply::deserialize(header, blob);
   EXPECT_EQ(parsed.seq, 3u);
+  EXPECT_EQ(parsed.found, 1u);
   EXPECT_EQ(parsed.version, 5u);
-  ASSERT_TRUE(parsed.blob);
-  EXPECT_EQ(*parsed.blob, content);
-
-  // A size field past the payload's end is refused before any allocation
-  // (a terabyte here), as is one that wraps the read position.
-  for (const std::uint64_t size : {std::uint64_t{10}, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
-    vira::util::ByteBuffer corrupt = wire;
-    std::memcpy(corrupt.data() + 17, &size, sizeof(size));
-    EXPECT_THROW(vd::PeerBlockReply::deserialize(corrupt), std::out_of_range) << size;
+  EXPECT_EQ(parsed.blob.get(), blob.get()) << "the body is taken as is, not copied";
+  for (const std::uint64_t wrong : wrong_sizes) {
+    vira::util::ByteBuffer corrupt = header;
+    corrupt.seek(0);
+    std::memcpy(corrupt.data() + 17, &wrong, sizeof(wrong));
+    EXPECT_THROW(vd::PeerBlockReply::deserialize(corrupt, blob), std::out_of_range) << wrong;
   }
+  // found = 1 without a body, the size field agreeing (0).
+  vd::PeerBlockReply bodiless = reply;
+  bodiless.blob = nullptr;
+  vira::util::ByteBuffer bodiless_header;
+  bodiless.serialize(bodiless_header);
+  EXPECT_THROW(vd::PeerBlockReply::deserialize(bodiless_header, nullptr), std::out_of_range);
+  // A signed miss: size 0, no body.
+  vd::PeerBlockReply miss;
+  miss.seq = 4;
+  vira::util::ByteBuffer miss_header;
+  miss.serialize(miss_header);
+  ASSERT_EQ(miss_header.size(), 25u);
+  const auto parsed_miss = vd::PeerBlockReply::deserialize(miss_header, nullptr);
+  EXPECT_EQ(parsed_miss.found, 0u);
+  EXPECT_EQ(parsed_miss.blob, nullptr);
+
+  vd::PeerPush push;
+  push.id = 11;
+  push.version = 6;
+  push.blob = blob;
+  vira::util::ByteBuffer push_header;
+  push.serialize(push_header);
+  // id, version, size.
+  ASSERT_EQ(push_header.size(), 8u + 8u + 8u);
+  const auto pushed = vd::PeerPush::deserialize(push_header, blob);
+  EXPECT_EQ(pushed.id, 11u);
+  EXPECT_EQ(pushed.version, 6u);
+  EXPECT_EQ(pushed.blob.get(), blob.get());
+  for (const std::uint64_t wrong : wrong_sizes) {
+    vira::util::ByteBuffer corrupt = push_header;
+    corrupt.seek(0);
+    std::memcpy(corrupt.data() + 16, &wrong, sizeof(wrong));
+    EXPECT_THROW(vd::PeerPush::deserialize(corrupt, blob), std::out_of_range) << wrong;
+  }
+  vd::PeerPush bodiless_push = push;
+  bodiless_push.blob = nullptr;
+  vira::util::ByteBuffer bodiless_push_header;
+  bodiless_push.serialize(bodiless_push_header);
+  EXPECT_THROW(vd::PeerPush::deserialize(bodiless_push_header, nullptr), std::out_of_range);
 }
 
 TEST(ShardedDms, PeerFetchRoundTripServesFromOwner) {
@@ -1795,6 +1841,7 @@ TEST(ShardedDms, PeerFetchRoundTripServesFromOwner) {
   const auto fetched = fx.proxies[1]->request(name);  // non-owner: over the wire
   EXPECT_EQ(fx.source->loads(), 1) << "a warm owner must absorb the miss";
   EXPECT_TRUE(same_bytes(original, fetched));
+  EXPECT_EQ(fetched.get(), original.get()) << "the requester caches the owner's allocation";
   const auto counters = fx.proxies[1]->stats().snapshot();
   EXPECT_EQ(counters.peer_fetches, 1u);
   EXPECT_EQ(counters.peer_fallback_disk, 0u);

@@ -198,6 +198,51 @@ TEST(DstEventWaitTest, DelayedMessageArrivesItsDelayAfterTheSendInSendOrder) {
   EXPECT_EQ(transport->stats().delayed, 4u);
 }
 
+/// Trajectory of one seeded fault decorator under a fresh virtual clock:
+/// 40 messages of a header and a 0..39-byte blob, the blob sent as the
+/// message body (`as_body`) or flattened into the payload after the header.
+std::pair<std::uint64_t, std::uint64_t> header_and_blob_trajectory(bool as_body) {
+  GlobalVirtualClock clock;
+  comm::FaultInjectionConfig faults;
+  faults.seed = 27;
+  faults.drop_rate = 0.2;
+  faults.duplicate_rate = 0.3;
+  faults.delay_rate = 0.5;
+  faults.max_delay = std::chrono::milliseconds(3);
+  auto transport = std::make_shared<comm::FaultInjectingTransport>(
+      std::make_shared<comm::InProcTransport>(2), faults);
+  comm::Communicator sender(transport, 0);
+  for (int n = 0; n < 40; ++n) {
+    util::ByteBuffer header;
+    header.write<std::uint64_t>(static_cast<std::uint64_t>(n));
+    util::ByteBuffer blob;
+    for (int k = 0; k < n; ++k) {
+      blob.write<std::uint8_t>(static_cast<std::uint8_t>(7 * k + n));
+    }
+    if (as_body) {
+      sender.send(1, 5, std::move(header), std::make_shared<const util::ByteBuffer>(blob));
+    } else {
+      header.write_raw(blob.data(), blob.size());
+      sender.send(1, 5, std::move(header));
+    }
+    clock->sleep_for(std::chrono::microseconds(500));
+  }
+  clock->sleep_for(std::chrono::milliseconds(10));  // past every delayed delivery
+  EXPECT_GT(transport->stats().delayed, 0u);
+  EXPECT_GT(transport->stats().dropped, 0u);
+  EXPECT_GT(transport->stats().duplicated, 0u);
+  return {transport->trajectory_hash(), transport->event_count()};
+}
+
+TEST(DstEventWaitTest, BodyHashesAsTheSameBytesFlattenedIntoThePayload) {
+  // The decorator folds payload then body into the hash, so moving a blob
+  // from the payload into the body leaves every trajectory as it was.
+  const auto flattened = header_and_blob_trajectory(/*as_body=*/false);
+  const auto with_body = header_and_blob_trajectory(/*as_body=*/true);
+  EXPECT_EQ(with_body.first, flattened.first);
+  EXPECT_EQ(with_body.second, flattened.second);
+}
+
 /// Every load takes 7 virtual ms: off the grid of a 2 ms poll slice, so a
 /// polled wait could not end at the instants the test expects.
 class SevenMsSource final : public dms::DataSource {

@@ -83,6 +83,21 @@ TEST(FaultTransport, DuplicateRateOneDeliversTwice) {
   EXPECT_EQ(second->payload.read_string(), "twin");
   EXPECT_FALSE(transport.recv(1, std::chrono::milliseconds(20)).has_value());
   EXPECT_EQ(transport.stats().duplicated, 1u);
+
+  // A duplicated message's body is shared by both deliveries, not copied.
+  auto with_body = tagged(0, 4, "header");
+  with_body.body = std::make_shared<const vu::ByteBuffer>(tagged(0, 0, "body").payload);
+  const auto body = with_body.body;
+  transport.send(1, std::move(with_body));
+  auto first_body = transport.recv(1, std::chrono::milliseconds(200));
+  auto second_body = transport.recv(1, std::chrono::milliseconds(200));
+  ASSERT_TRUE(first_body.has_value());
+  ASSERT_TRUE(second_body.has_value());
+  EXPECT_EQ(first_body->payload.read_string(), "header");
+  EXPECT_EQ(second_body->payload.read_string(), "header");
+  EXPECT_EQ(first_body->body.get(), body.get());
+  EXPECT_EQ(second_body->body.get(), body.get());
+  EXPECT_EQ(transport.stats().duplicated, 2u);
 }
 
 TEST(FaultTransport, DelayedMessageStillArrives) {

@@ -71,22 +71,6 @@ TEST(ByteBuffer, SeekAllowsRereading) {
   EXPECT_THROW(buf.seek(1000), std::out_of_range);
 }
 
-TEST(ByteBuffer, ReadBytesTakesTheNextBytesAfterASizeCheck) {
-  vu::ByteBuffer buf;
-  buf.write<std::uint32_t>(7);
-  buf.write<std::uint32_t>(0xdeadbeef);
-  buf.write<std::uint8_t>(1);
-  EXPECT_EQ(buf.read<std::uint32_t>(), 7u);
-  auto taken = buf.read_bytes(sizeof(std::uint32_t));
-  EXPECT_EQ(taken.size(), sizeof(std::uint32_t));
-  EXPECT_EQ(taken.read<std::uint32_t>(), 0xdeadbeefu);
-  EXPECT_EQ(buf.remaining(), 1u);
-  // Past the end, including a size that would wrap the read position.
-  EXPECT_THROW(buf.read_bytes(2), std::out_of_range);
-  EXPECT_THROW(buf.read_bytes(~std::size_t{0}), std::out_of_range);
-  EXPECT_EQ(buf.read<std::uint8_t>(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // ParamList
 // ---------------------------------------------------------------------------

@@ -24,8 +24,14 @@ change's wins out of N (ties count for neither) and two checks:
          a workload that runs and an end-to-end metric of BENCHMARK.json, and
          needs at least 10 pairs.
 
-A run that reports correct = false or any failed request fails the check.
-Exit status 0 when every check passes, 1 otherwise, 2 on a usage error.
+After a workload's pairs it runs one traced pair (--trace 1, seed seed0,
+parent first) and prints every per-layer metric of BENCHMARK.json for both
+sides: where a saving appears, from one pair, so no gain rule or bound is
+applied to it. --json stores it under the workload as "traced".
+
+A run that reports correct = false or any failed request fails the check,
+traced runs included. Exit status 0 when every check passes, 1 otherwise, 2
+on a usage error.
 """
 
 import argparse
@@ -41,9 +47,9 @@ def load_benchmark(checkout):
         return json.load(handle)
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     command = [sys.executable, os.path.join("streambench", "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
     run = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = run.stdout.strip().splitlines()
     try:
@@ -61,6 +67,17 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def runs_ok(side, results):
+    """Prints one side's request totals; False if any run failed."""
+    attempted = sum(r["attempted"] for r in results)
+    failed = sum(r["failed"] for r in results)
+    incorrect = sum(not r["correct"] for r in results)
+    ok = failed == 0 and incorrect == 0
+    print(f"  {side}: {attempted} requests, {failed} failed, "
+          f"{incorrect} incorrect runs{'' if ok else '  FAIL'}")
+    return ok
 
 
 def better(a, b, lower):
@@ -134,6 +151,7 @@ def main():
                          f"({', '.join(metric_names)})")
         claims.add((workload, metric))
 
+    checkouts = {"parent": args.parent, "change": args.change}
     runs = {}
     all_passed = True
     for workload in workloads:
@@ -142,8 +160,7 @@ def main():
             seed = args.seed0 + i
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                checkout = args.parent if side == "parent" else args.change
-                sides[side].append(run_once(checkout, workload, seed, seconds))
+                sides[side].append(run_once(checkouts[side], workload, seed, seconds))
             print(f"# {workload} pair {i + 1}/{args.pairs} seed {seed}: request_p50_ms "
                   f"parent {sides['parent'][-1]['metrics'].get('request_p50_ms', 0):.4g} "
                   f"change {sides['change'][-1]['metrics'].get('request_p50_ms', 0):.4g}",
@@ -153,13 +170,7 @@ def main():
         print(f"\n{workload}: {args.pairs} pairs of {seconds:g} s, seeds {args.seed0}.."
               f"{args.seed0 + args.pairs - 1}")
         for side, results in sides.items():
-            attempted = sum(r["attempted"] for r in results)
-            failed = sum(r["failed"] for r in results)
-            incorrect = sum(not r["correct"] for r in results)
-            ok = failed == 0 and incorrect == 0
-            all_passed = all_passed and ok
-            print(f"  {side}: {attempted} requests, {failed} failed, "
-                  f"{incorrect} incorrect runs{'' if ok else '  FAIL'}")
+            all_passed = runs_ok(side, results) and all_passed
         print(f"  {'metric':<22} {'parent median [q1, q3]':>30}  {'change median [q1, q3]':>30}"
               f"  wins    better  check")
         for metric in benchmark["end_to_end"]:
@@ -168,6 +179,20 @@ def main():
             text, passed = judge(metric, parent, change, (workload, metric["name"]) in claims)
             all_passed = all_passed and passed
             print(text)
+
+        # Where the saving appears: the per-layer split of one traced pair.
+        traced = {side: run_once(checkouts[side], workload, args.seed0, seconds, trace=1)
+                  for side in ("parent", "change")}
+        sides["traced"] = traced
+        print(f"\n{workload}: one traced pair, seed {args.seed0}, parent first; per-layer "
+              f"metrics of a single pair, no gain rule or bound applied")
+        for side, result in traced.items():
+            all_passed = runs_ok(side, [result]) and all_passed
+        print(f"  {'metric':<28} {'parent':>14} {'change':>14}  better")
+        for metric in benchmark["per_layer"]:
+            values = [traced[side]["metrics"].get(metric["name"]) for side in ("parent", "change")]
+            text = ["-" if v is None else f"{v:.6g}" for v in values]
+            print(f"  {metric['name']:<28} {text[0]:>14} {text[1]:>14}  {metric['better']}")
 
     if args.json:
         with open(args.json, "w") as handle:
